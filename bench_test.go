@@ -15,12 +15,16 @@ import (
 	"flag"
 	"os"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"levioso/internal/attack"
 	"levioso/internal/core"
 	"levioso/internal/cpu"
+	"levioso/internal/dispatch"
+	"levioso/internal/engine"
 	"levioso/internal/harness"
 	"levioso/internal/obs"
 	"levioso/internal/secure"
@@ -400,48 +404,49 @@ func appendBenchPoint(path string, report hotLoopReport) error {
 	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
-// BenchmarkBatch measures suite throughput through the cpu.RunBatch pool:
-// every (workload, policy) cell of the hot-loop suite is built as an
-// independent core and the whole population is advanced to completion by a
-// GOMAXPROCS-sized worker pool in fixed cycle quanta. The aggregate metric is
-// total simulated cycles per wall-clock second across the population — the
-// figure of merit for the sweep/fuzz/dispatch tiers, which run exactly this
-// many-independent-cores shape.
+// BenchmarkBatch measures suite throughput through the dispatch
+// coordinator: every (workload, policy) cell of the hot-loop suite is
+// executed as one cell on a GOMAXPROCS-sized pool of in-process workers, the
+// path levserve's simulate and batch requests take. The result cache is off,
+// so every iteration simulates every cell. The aggregate metric is total
+// simulated cycles per wall-clock second across the population.
 func BenchmarkBatch(b *testing.B) {
-	var progs []struct {
-		w   workloads.Workload
-		pol string
-	}
+	var cells []*dispatch.Cell
 	for _, pol := range []string{"unsafe", "levioso"} {
 		for _, w := range workloads.All() {
-			progs = append(progs, struct {
-				w   workloads.Workload
-				pol string
-			}{w, pol})
+			cells = append(cells, &dispatch.Cell{
+				Name:      w.Name,
+				Program:   w.MustBuild(workloads.SizeTest),
+				Overrides: engine.Overrides{Policy: pol},
+			})
 		}
 	}
-	var cycles uint64
+	co, err := dispatch.New(context.Background(), dispatch.Config{
+		Workers: runtime.GOMAXPROCS(0), CacheEntries: -1, Registry: obs.NewRegistry(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer co.Close()
+	var cycles atomic.Uint64
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cores := make([]*cpu.Core, len(progs))
-		for j, p := range progs {
-			c, err := cpu.New(p.w.MustBuild(workloads.SizeTest), cpu.DefaultConfig(), secure.MustNew(p.pol))
-			if err != nil {
-				b.Fatal(err)
-			}
-			cores[j] = c
+		var wg sync.WaitGroup
+		for _, c := range cells {
+			wg.Add(1)
+			go func(c *dispatch.Cell) {
+				defer wg.Done()
+				res, err := co.Execute(context.Background(), c)
+				if err != nil {
+					b.Errorf("cell %s/%s: %v", c.Name, c.Overrides.Policy, err)
+					return
+				}
+				cycles.Add(res.Stats.Cycles)
+			}(c)
 		}
-		runtime.GC()
-		b.StartTimer()
-		cycles = 0
-		for j, br := range cpu.RunBatch(context.Background(), cores, 0) {
-			if br.Err != nil {
-				b.Fatalf("cell %s/%s: %v", progs[j].w.Name, progs[j].pol, br.Err)
-			}
-			cycles += br.Res.Stats.Cycles
-		}
+		wg.Wait()
 	}
-	b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds(), "sim-cycles/s")
+	b.ReportMetric(float64(cycles.Load())/b.Elapsed().Seconds(), "sim-cycles/s")
 }
 
 // BenchmarkAnnotatePass measures the compiler pass itself.

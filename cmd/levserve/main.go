@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	levserve [-addr :8347] [-workers N] [-cache 256] [-deadline 60s]
+//	levserve [-addr :8347] [-workers N] [-cache 1024] [-deadline 60s]
 //	levserve -worker
 //
 // Endpoints (see internal/serve):
@@ -15,10 +15,12 @@
 //	GET  /v1/policies   GET /v1/workloads   GET /v1/stats   GET /v1/version
 //	GET  /metrics       GET /healthz
 //
-// Batch cells run on the fault-tolerant dispatch tier (internal/dispatch):
-// retries with backoff, per-worker circuit breakers, admission control, and
-// a shared result cache. By default the workers are in-process;
-// -worker-procs isolates them as subprocesses (this same binary re-executed
+// Every simulation — a /v1/simulate request or a batch cell — runs on the
+// fault-tolerant dispatch tier (internal/dispatch): admission control, a
+// shared result cache with single-flight dedup, retries with backoff, and
+// per-worker circuit breakers; -workers sizes its worker pool and -cache
+// its result cache. By default the workers are in-process; -worker-procs
+// isolates them as subprocesses (this same binary re-executed
 // as `levserve -worker`, speaking a versioned NDJSON protocol over
 // stdin/stdout), so a crashing simulation takes down a disposable worker
 // instead of the daemon. -worker runs that worker loop directly and is not
@@ -27,7 +29,7 @@
 // Multi-host: `levserve -worker-listen :7070` runs a worker daemon serving
 // the same wire protocol over TCP (heartbeats, daemon-wide shared result
 // cache, graceful drain on SIGTERM); a coordinator started with
-// `-remote host1:7070,host2:7070` dispatches its batch tier to those
+// `-remote host1:7070,host2:7070` dispatches its simulations to those
 // daemons with automatic reconnection, per-peer backoff, and heartbeat
 // partition detection. -net-inject arms a seeded network fault plan on the
 // coordinator's connections (see internal/faultinject.ParseNetSpec) for
@@ -66,22 +68,21 @@ func main() {
 // shutdown and error paths uniform across the tools.
 func run() int {
 	addr := flag.String("addr", ":8347", "listen address")
-	workers := flag.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-	cacheN := flag.Int("cache", 256, "result-cache entries (negative disables)")
+	workers := flag.Int("workers", 0, "worker slots: max concurrent simulations and fuzz campaigns (0 = GOMAXPROCS, or one per -remote peer)")
+	cacheN := flag.Int("cache", 0, "result-cache entries (0 = 1024, negative disables)")
 	deadline := flag.Duration("deadline", time.Minute, "default per-request deadline")
 	maxBody := flag.Int64("max-body", 8<<20, "max request body bytes")
 	accessLog := flag.Bool("access-log", false, "write one JSON access-log line per request to stderr")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	workerMode := flag.Bool("worker", false, "run as a dispatch worker on stdin/stdout (spawned by the coordinator, not for interactive use)")
-	workerProcs := flag.Bool("worker-procs", false, "run batch cells in subprocess workers (this binary re-executed with -worker)")
-	batchWorkers := flag.Int("batch-workers", 0, "batch dispatch worker slots (0 = same as -workers)")
+	workerProcs := flag.Bool("worker-procs", false, "run simulations in subprocess workers (this binary re-executed with -worker)")
 	workerListen := flag.String("worker-listen", "", "run as a TCP worker daemon on this address (e.g. :7070)")
-	remote := flag.String("remote", "", "comma-separated worker-daemon addresses for the batch tier (host:port,...)")
+	remote := flag.String("remote", "", "comma-separated worker-daemon addresses to run simulations on (host:port,...)")
 	netInject := flag.String("net-inject", "", "seeded network fault plan for -remote connections (kind[:key=val...][;...]; kinds conn-kill, latency, partial-write, corrupt-frame, partition)")
 	netInjectSeed := flag.Int64("net-inject-seed", 1, "seed for the -net-inject fault plan")
 	flag.Parse()
 	if flag.NArg() != 0 {
-		return cli.Usage("levserve [-addr :8347] [-workers N] [-cache 256] [-deadline 60s] [-access-log] [-pprof] [-worker-procs] [-batch-workers N] [-remote host:port,...] | levserve -worker | levserve -worker-listen :7070")
+		return cli.Usage("levserve [-addr :8347] [-workers N] [-cache 1024] [-deadline 60s] [-access-log] [-pprof] [-worker-procs] [-remote host:port,...] | levserve -worker | levserve -worker-listen :7070")
 	}
 
 	if *workerMode {
@@ -113,12 +114,10 @@ func run() int {
 	}
 
 	cfg := serve.Config{
-		Workers:         *workers,
-		CacheEntries:    *cacheN,
 		DefaultDeadline: *deadline,
 		MaxBody:         *maxBody,
 		EnablePprof:     *enablePprof,
-		Dispatch:        &dispatch.Config{Workers: *batchWorkers},
+		Dispatch:        &dispatch.Config{Workers: *workers, CacheEntries: *cacheN},
 	}
 	if *workerProcs {
 		exe, err := os.Executable()

@@ -68,7 +68,8 @@ type Config struct {
 
 	// QueueDepth caps admitted-but-unfinished cells; beyond it, Admit
 	// sheds with a typed retryable error instead of letting the queue
-	// collapse. Default 8×Workers; negative means unlimited.
+	// collapse. It is also the largest batch that can ever be admitted.
+	// Default 1024; negative means unlimited.
 	QueueDepth int
 	// CacheEntries sizes the shared content-addressed result cache.
 	// Default 1024; negative disables caching.
@@ -106,10 +107,7 @@ func (c *Config) withDefaults() Config {
 		out.CrashLoopBudget = 5
 	}
 	if out.QueueDepth == 0 {
-		out.QueueDepth = 8 * out.Workers
-	}
-	if out.CacheEntries == 0 {
-		out.CacheEntries = 1024
+		out.QueueDepth = 1024
 	}
 	if out.Registry == nil {
 		out.Registry = obs.Default()
@@ -139,6 +137,12 @@ func (e *ShedError) Unwrap() error { return e.cause }
 // retrying inside this process cannot help.
 var ErrAllWorkersDead = errors.New("dispatch: all workers dead (crash-loop budget exhausted)")
 
+// ErrQueueTimeout is what a cell's context ending while it still waits for
+// an idle worker wraps (as a transient simerr.KindDeadline failure): the
+// cell gave up queueing before any work happened, which serve answers with
+// a retryable 503 rather than the 504 of a run that overran its deadline.
+var ErrQueueTimeout = errors.New("dispatch: gave up waiting for a worker")
+
 // errClosed reports use after Close.
 var errClosed = errors.New("dispatch: coordinator closed")
 
@@ -167,7 +171,7 @@ type Coordinator struct {
 	cfg   Config
 	slots []*slot
 	ready chan *slot
-	cache *lru.Cache[string, engine.Result]
+	cache *resultCache
 
 	fmu     sync.Mutex
 	flights map[string]*flight
@@ -206,7 +210,7 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 	co := &Coordinator{
 		cfg:     c,
 		ready:   make(chan *slot, c.Workers),
-		cache:   lru.New[string, engine.Result](c.CacheEntries),
+		cache:   newResultCache(c.CacheEntries),
 		flights: make(map[string]*flight),
 		allDead: make(chan struct{}),
 		closeCh: make(chan struct{}),
@@ -368,7 +372,7 @@ func (co *Coordinator) run(ctx context.Context, cell *Cell) (*engine.Result, err
 	if err := cell.Overrides.Normalize(); err != nil {
 		return nil, err // permanent: bad cell, no attempt consumed
 	}
-	key, cacheable := co.cellKey(cell)
+	key, cacheable := resultKey(ctx, cell)
 	if !cacheable {
 		return co.runAttempts(ctx, cell)
 	}
@@ -446,16 +450,30 @@ func (co *Coordinator) runAttempts(ctx context.Context, cell *Cell) (*engine.Res
 	return nil, lastErr
 }
 
-// cellKey computes the content-addressed key for a normalized cell — the
-// identity both the result cache and single-flight dedup coalesce on. A nil
-// cache (caching disabled) still yields a key: dedup works either way, the
-// lru no-op cache just never hits.
-func (co *Coordinator) cellKey(cell *Cell) (string, bool) {
+// resultCache is a content-addressed engine.Result LRU under resultKey. The
+// coordinator and the worker daemon each own one; entries never go stale,
+// because the simulator is deterministic.
+type resultCache = lru.Cache[string, engine.Result]
+
+// newResultCache sizes a result cache: 0 means 1024 entries, negative
+// disables caching (a nil cache, on which Get always misses).
+func newResultCache(n int) *resultCache {
+	if n == 0 {
+		n = 1024
+	}
+	return lru.New[string, engine.Result](n)
+}
+
+// resultKey is the content-addressed identity of a normalized cell's result
+// — what the coordinator cache, single-flight dedup, and the worker daemon
+// cache all coalesce on. A disabled cache still gets a key: dedup works
+// either way. The time spent is recorded as the engine.cachekey span.
+func resultKey(ctx context.Context, cell *Cell) (string, bool) {
 	if cell.Program == nil {
 		return "", false
 	}
-	req := engine.Request{Name: cell.Name, Program: cell.Program, Overrides: cell.Overrides}
-	return engine.CacheKey(cell.Program, cell.Overrides.Policy, req.BuildConfig(), false, cell.Verify)
+	req := cell.engineRequest()
+	return engine.CacheKeyObserved(ctx, cell.Program, cell.Overrides.Policy, req.BuildConfig(), cell.UseRef, cell.Verify)
 }
 
 // sleepBackoff waits the exponential-with-jitter delay before attempt n.
@@ -669,7 +687,7 @@ func (co *Coordinator) acquire(ctx context.Context) (*slot, error) {
 	case s := <-co.ready:
 		return s, nil
 	case <-ctx.Done():
-		return nil, simerr.New(simerr.KindDeadline, "dispatch: %v", ctx.Err())
+		return nil, &simerr.RunError{Kind: simerr.KindDeadline, Detail: ctx.Err().Error(), Err: ErrQueueTimeout}
 	case <-co.allDead:
 		return nil, ErrAllWorkersDead
 	case <-co.closeCh:
@@ -686,6 +704,19 @@ func (co *Coordinator) tryAcquire() (*slot, bool) {
 	default:
 		return nil, false
 	}
+}
+
+// TryHold reserves an idle worker slot without waiting, for work that runs
+// outside the coordinator but must count against its capacity (a fuzz
+// campaign). ok is false when every slot is busy. release hands the slot
+// back; calling it more than once is harmless.
+func (co *Coordinator) TryHold() (release func(), ok bool) {
+	s, ok := co.tryAcquire()
+	if !ok {
+		return nil, false
+	}
+	var once sync.Once
+	return func() { once.Do(func() { co.requeue(s) }) }, true
 }
 
 // requeue returns a slot token to the ready queue (capacity = pool size, so

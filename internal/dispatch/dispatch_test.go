@@ -324,6 +324,96 @@ func TestConcurrentBatch(t *testing.T) {
 	}
 }
 
+// batchAsm is a mixed population of distinct programs: a counted loop, a
+// pointer chase and a data-dependent branch pattern.
+var batchAsm = map[string]string{
+	"loop": `
+main:
+	addi t0, zero, 200
+	addi t1, zero, 0
+loop:
+	addi t1, t1, 3
+	addi t0, t0, -1
+	bne t0, zero, loop
+	sd t1, 0(gp)
+	halt zero
+`,
+	"chase": `
+main:
+	addi t0, zero, 64
+	sd zero, 64(gp)
+	addi t1, zero, 8
+next:
+	ld t0, 0(t0)
+	addi t1, t1, -1
+	bne t1, zero, next
+	halt zero
+`,
+	"branchy": `
+main:
+	addi t0, zero, 100
+	addi t2, zero, 0
+top:
+	andi t1, t0, 1
+	beq t1, zero, even
+	addi t2, t2, 7
+	jal zero, join
+even:
+	addi t2, t2, -2
+join:
+	addi t0, t0, -1
+	bne t0, zero, top
+	sd t2, 8(gp)
+	halt zero
+`,
+}
+
+// TestInprocBatchMatchesRun runs a population of distinct programs, larger
+// than the pool, through in-process pools of several widths with the cache
+// off, and demands every cell's result equal its individually-run twin:
+// cores sharing a process must share no simulation state.
+func TestInprocBatchMatchesRun(t *testing.T) {
+	var progs []*isa.Program
+	for name, src := range batchAsm {
+		prog, _, err := engine.Assemble(name+".s", src, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			progs = append(progs, prog)
+		}
+	}
+	want := make([]*engine.Result, len(progs))
+	for i, prog := range progs {
+		want[i] = wantResult(t, prog, "unsafe")
+	}
+	for _, workers := range []int{0, 1, 2, 16} {
+		co := testCoordinator(t, Config{Workers: workers, Spawn: Inproc(), QueueDepth: -1, CacheEntries: -1})
+		got := make([]*engine.Result, len(progs))
+		errs := make([]error, len(progs))
+		var wg sync.WaitGroup
+		for i, prog := range progs {
+			wg.Add(1)
+			go func(i int, prog *isa.Program) {
+				defer wg.Done()
+				got[i], errs[i] = co.Execute(context.Background(), &Cell{
+					Name: "cell.lc", Program: prog, Verify: true,
+					Overrides: engine.Overrides{Policy: "unsafe"},
+				})
+			}(i, prog)
+		}
+		wg.Wait()
+		for i := range progs {
+			if errs[i] != nil {
+				t.Fatalf("workers=%d cell %d: %v", workers, i, errs[i])
+			}
+			if !sameResult(got[i], want[i]) {
+				t.Errorf("workers=%d cell %d diverged:\n got %+v\nwant %+v", workers, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // TestBadPolicyRejectedLocally: option validation fails before any worker
 // or attempt is spent.
 func TestBadPolicyRejectedLocally(t *testing.T) {
@@ -334,6 +424,48 @@ func TestBadPolicyRejectedLocally(t *testing.T) {
 	})
 	if !errors.Is(err, simerr.ErrBuild) {
 		t.Fatalf("want typed build error, got %v", err)
+	}
+}
+
+// TestExecuteCancelledWhileQueued: with the only slot held (TryHold), a cell
+// whose context ends while it waits for a worker fails as a transient
+// deadline wrapping ErrQueueTimeout — it never started — and a released
+// slot serves the next cell.
+func TestExecuteCancelledWhileQueued(t *testing.T) {
+	prog := testProgram(t)
+	co := testCoordinator(t, Config{Workers: 1})
+	release, ok := co.TryHold()
+	if !ok {
+		t.Fatal("TryHold on an idle pool failed")
+	}
+	if _, ok := co.TryHold(); ok {
+		t.Fatal("TryHold handed out a second slot of a one-worker pool")
+	}
+	cell := func() *Cell {
+		return &Cell{Name: "cell.lc", Program: prog, Overrides: engine.Overrides{Policy: "unsafe"}}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	_, err := co.Execute(ctx, cell())
+	if !errors.Is(err, ErrQueueTimeout) || !errors.Is(err, simerr.ErrDeadline) || !simerr.Transient(err) {
+		t.Fatalf("want a transient deadline wrapping ErrQueueTimeout, got %v", err)
+	}
+	release()
+	release() // idempotent: must not hand the slot back twice
+	if _, err := co.Execute(context.Background(), cell()); err != nil {
+		t.Fatalf("after release: %v", err)
+	}
+	// The slot recycles asynchronously after the cell's reply.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, ok := co.TryHold(); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("slot not back after the cell finished")
+		}
+	}
+	if _, ok := co.TryHold(); ok {
+		t.Fatal("double release duplicated the slot")
 	}
 }
 

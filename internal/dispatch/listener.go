@@ -6,9 +6,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"levioso/internal/engine"
-	"levioso/internal/lru"
 )
 
 // ListenOptions tunes a worker daemon's TCP serve loop.
@@ -33,9 +30,6 @@ func (o *ListenOptions) normalize() {
 	if o.HeartbeatInterval == 0 {
 		o.HeartbeatInterval = time.Second
 	}
-	if o.CacheEntries == 0 {
-		o.CacheEntries = 1024
-	}
 	if o.DrainTimeout == 0 {
 		o.DrainTimeout = 10 * time.Second
 	}
@@ -59,8 +53,7 @@ func ListenWorkers(ctx context.Context, ln net.Listener, opts ListenOptions) err
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cache := lru.New[string, engine.Result](opts.CacheEntries)
-	sopts := serveOptions{cache: cache}
+	sopts := serveOptions{cache: newResultCache(opts.CacheEntries)}
 	if opts.HeartbeatInterval > 0 {
 		sopts.hbInterval = opts.HeartbeatInterval
 	}

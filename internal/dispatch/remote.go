@@ -505,15 +505,11 @@ func (w *remoteWorker) Execute(ctx context.Context, c *Cell) (*engine.Result, er
 	if err != nil {
 		return nil, err
 	}
-	if resp.Error != nil {
-		return nil, errorFromWire(resp.Error)
+	res, err := resultFromWire(resp)
+	if err != nil {
+		return nil, err
 	}
-	res := &engine.Result{ExitCode: resp.Exit, Output: resp.Output}
-	if resp.Stats != nil {
-		res.Stats = *resp.Stats
-	}
-	if resp.Cached {
-		res.Cached = true
+	if res.Cached {
 		w.p.cacheHits.Add(1)
 		w.f.mCacheHits.With(w.p.addr).Inc()
 	}

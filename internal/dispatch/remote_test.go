@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -469,3 +470,35 @@ func (w *flakyOnceWorker) Execute(ctx context.Context, c *Cell) (*engine.Result,
 func (w *flakyOnceWorker) Ping(ctx context.Context) error { return nil }
 func (w *flakyOnceWorker) Kill()                          {}
 func (w *flakyOnceWorker) Close() error                   { return nil }
+
+// TestHelloV1Refused: a worker still speaking wire schema 1 — which would
+// ignore a cell's "ref" flag and answer with a core simulation — is refused
+// at the hello with a typed transport error, over stdio and over TCP alike.
+func TestHelloV1Refused(t *testing.T) {
+	v1 := wireHello{Hello: &wireHelloBody{SchemaVersion: 1, PID: 1}}
+	t.Run("stdio", func(t *testing.T) {
+		inR, inW := io.Pipe()
+		outR, outW := io.Pipe()
+		h := &pipeHandle{cancel: func() {}, inR: inR, outW: outW, done: make(chan struct{})}
+		go func() {
+			defer close(h.done)
+			json.NewEncoder(outW).Encode(v1)
+			io.Copy(io.Discard, inR) // until the refusal closes the pipe
+		}()
+		_, err := newStdioWorker(context.Background(), h, inW, outR)
+		if simerr.KindOf(err) != simerr.KindTransport {
+			t.Fatalf("v1 stdio worker: err = %v, want a transport refusal", err)
+		}
+	})
+	t.Run("tcp", func(t *testing.T) {
+		addr := rawServer(t, func(c net.Conn) {
+			json.NewEncoder(c).Encode(v1)
+			c.Read(make([]byte, 1)) // linger until the coordinator hangs up
+			c.Close()
+		})
+		_, err := testFleet(t, RemoteConfig{}, addr).spawn(context.Background())
+		if simerr.KindOf(err) != simerr.KindTransport {
+			t.Fatalf("v1 daemon: err = %v, want a transport refusal", err)
+		}
+	})
+}

@@ -12,7 +12,6 @@ import (
 
 	"levioso/internal/cpu"
 	"levioso/internal/engine"
-	"levioso/internal/lru"
 	"levioso/internal/simerr"
 )
 
@@ -21,7 +20,11 @@ import (
 // worker and coordinator disagreeing on it refuse to pair at handshake time
 // instead of misinterpreting frames mid-batch. The heartbeat (hb/hb_ms) and
 // worker-cache (cached) fields are additive: an older peer ignores them.
-const WireSchemaVersion = 1
+//
+// v2: reference-model cells (request "ref", response "ref"/"ref_insts").
+// Not additive — a v1 worker would ignore "ref" and answer with a core
+// simulation — so a v1 peer fails the hello instead.
+const WireSchemaVersion = 2
 
 // maxFrameBytes bounds one NDJSON frame on both sides of the pipe. Program
 // images are capped well below this by the HTTP body limit; a frame this
@@ -57,6 +60,7 @@ type wireRequest struct {
 	MaxCycles  uint64 `json:"max_cycles,omitempty"`
 	DeadlineMS int64  `json:"deadline_ms,omitempty"`
 	Verify     bool   `json:"verify,omitempty"`
+	Ref        bool   `json:"ref,omitempty"`
 }
 
 // wireError carries a typed simulation failure across the pipe. Kind is the
@@ -75,14 +79,29 @@ type wireError struct {
 // result cache, advertised back so the coordinator can count cross-daemon
 // repeats.
 type wireResponse struct {
-	ID     uint64     `json:"id"`
-	Pong   bool       `json:"pong,omitempty"`
-	HB     bool       `json:"hb,omitempty"`
-	Exit   uint64     `json:"exit,omitempty"`
-	Output string     `json:"output,omitempty"`
-	Stats  *cpu.Stats `json:"stats,omitempty"`
-	Cached bool       `json:"cached,omitempty"`
-	Error  *wireError `json:"error,omitempty"`
+	ID       uint64     `json:"id"`
+	Pong     bool       `json:"pong,omitempty"`
+	HB       bool       `json:"hb,omitempty"`
+	Exit     uint64     `json:"exit,omitempty"`
+	Output   string     `json:"output,omitempty"`
+	Stats    *cpu.Stats `json:"stats,omitempty"`
+	Ref      bool       `json:"ref,omitempty"`
+	RefInsts uint64     `json:"ref_insts,omitempty"`
+	Cached   bool       `json:"cached,omitempty"`
+	Error    *wireError `json:"error,omitempty"`
+}
+
+// resultFromWire turns a worker's answer frame back into an engine result,
+// reconstituting a typed failure when the frame carries one.
+func resultFromWire(resp *wireResponse) (*engine.Result, error) {
+	if resp.Error != nil {
+		return nil, errorFromWire(resp.Error)
+	}
+	res := &engine.Result{ExitCode: resp.Exit, Output: resp.Output, Ref: resp.Ref, RefInsts: resp.RefInsts, Cached: resp.Cached}
+	if resp.Stats != nil {
+		res.Stats = *resp.Stats
+	}
+	return res, nil
 }
 
 // transportErr builds a typed transport failure (always transient: the
@@ -101,7 +120,7 @@ type serveOptions struct {
 	// cache, when non-nil, is the daemon-wide shared result cache: any
 	// connection served by this daemon answers repeats from it and marks
 	// the reply Cached.
-	cache *lru.Cache[string, engine.Result]
+	cache *resultCache
 }
 
 // ServeWorker runs the worker side of the dispatch protocol over r/w —
@@ -235,47 +254,58 @@ func serveFrames(ctx context.Context, r io.Reader, w io.Writer, opts serveOption
 // first when one is configured. Failures become typed wire errors; the engine
 // already recovers panics into simerr.ErrPanic, so one poisoned cell cannot
 // take the worker process down.
-func runWireRequest(ctx context.Context, req wireRequest, cache *lru.Cache[string, engine.Result]) wireResponse {
+func runWireRequest(ctx context.Context, req wireRequest, cache *resultCache) wireResponse {
+	res, cached, err := runWireCell(ctx, req, cache)
+	if err != nil {
+		return wireResponse{ID: req.ID, Error: &wireError{
+			Kind:      simerr.KindOf(err).String(),
+			Message:   err.Error(),
+			Retryable: simerr.Transient(err),
+		}}
+	}
+	return wireResponse{ID: req.ID, Exit: res.ExitCode, Output: res.Output, Stats: &res.Stats,
+		Ref: res.Ref, RefInsts: res.RefInsts, Cached: cached}
+}
+
+// runWireCell rebuilds the frame's cell and runs it, answering repeats from
+// the daemon cache under the same resultKey the coordinator uses.
+func runWireCell(ctx context.Context, req wireRequest, cache *resultCache) (engine.Result, bool, error) {
 	prog, err := engine.Load(req.Name, req.Binary)
-	if err == nil {
-		ereq := engine.Request{
-			Name:    req.Name,
-			Program: prog,
-			Verify:  req.Verify,
-			Overrides: engine.Overrides{
-				Policy:    req.Policy,
-				ROBSize:   req.ROB,
-				MaxCycles: req.MaxCycles,
-				Deadline:  time.Duration(req.DeadlineMS) * time.Millisecond,
-			},
-		}
-		if err = ereq.Normalize(); err == nil {
-			var key string
-			var cacheable bool
-			if cache != nil {
-				key, cacheable = engine.CacheKey(prog, ereq.Policy, ereq.BuildConfig(), false, req.Verify)
-				if cacheable {
-					if res, ok := cache.Get(key); ok {
-						st := res.Stats
-						return wireResponse{ID: req.ID, Exit: res.ExitCode, Output: res.Output, Stats: &st, Cached: true}
-					}
-				}
-			}
-			var res *engine.Result
-			if res, err = engine.Run(ctx, ereq); err == nil {
-				if cacheable {
-					cache.Put(key, *res)
-				}
-				st := res.Stats
-				return wireResponse{ID: req.ID, Exit: res.ExitCode, Output: res.Output, Stats: &st}
-			}
+	if err != nil {
+		return engine.Result{}, false, err
+	}
+	cell := &Cell{
+		Name:    req.Name,
+		Program: prog,
+		Verify:  req.Verify,
+		UseRef:  req.Ref,
+		Overrides: engine.Overrides{
+			Policy:    req.Policy,
+			ROBSize:   req.ROB,
+			MaxCycles: req.MaxCycles,
+			Deadline:  time.Duration(req.DeadlineMS) * time.Millisecond,
+		},
+	}
+	if err := cell.Overrides.Normalize(); err != nil {
+		return engine.Result{}, false, err
+	}
+	key, cacheable := "", false
+	if cache != nil {
+		key, cacheable = resultKey(ctx, cell)
+	}
+	if cacheable {
+		if res, ok := cache.Get(key); ok {
+			return res, true, nil
 		}
 	}
-	return wireResponse{ID: req.ID, Error: &wireError{
-		Kind:      simerr.KindOf(err).String(),
-		Message:   err.Error(),
-		Retryable: simerr.Transient(err),
-	}}
+	res, err := engine.Run(ctx, cell.engineRequest())
+	if err != nil {
+		return engine.Result{}, false, err
+	}
+	if cacheable {
+		cache.Put(key, *res)
+	}
+	return *res, false, nil
 }
 
 // errorFromWire reconstitutes a typed failure from its wire form, preserving

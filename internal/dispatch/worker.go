@@ -32,6 +32,9 @@ type Cell struct {
 	Overrides engine.Overrides
 	// Verify cross-checks the run against the reference model.
 	Verify bool
+	// UseRef runs the program on the functional reference model instead of
+	// the out-of-order core (no policy, no Stats).
+	UseRef bool
 
 	imgOnce sync.Once
 	img     []byte
@@ -65,7 +68,20 @@ func (c *Cell) request() (wireRequest, error) {
 		MaxCycles:  c.Overrides.MaxCycles,
 		DeadlineMS: int64(c.Overrides.Deadline / time.Millisecond),
 		Verify:     c.Verify,
+		Ref:        c.UseRef,
 	}, nil
+}
+
+// engineRequest is the engine pipeline request the cell stands for — what
+// every worker finally runs, and what resultKey keys.
+func (c *Cell) engineRequest() engine.Request {
+	return engine.Request{
+		Name:      c.Name,
+		Program:   c.Program,
+		Verify:    c.Verify,
+		UseRef:    c.UseRef,
+		Overrides: c.Overrides,
+	}
 }
 
 // Worker is one execution slot: a thing that can run one cell at a time.
@@ -111,12 +127,7 @@ func (w *inprocWorker) Execute(ctx context.Context, c *Cell) (*engine.Result, er
 	if c.Program == nil {
 		return nil, fmt.Errorf("dispatch: cell %q has no program", c.Name)
 	}
-	return engine.Run(ctx, engine.Request{
-		Name:      c.Name,
-		Program:   c.Program,
-		Verify:    c.Verify,
-		Overrides: c.Overrides,
-	})
+	return engine.Run(ctx, c.engineRequest())
 }
 
 func (w *inprocWorker) Ping(ctx context.Context) error {
@@ -264,14 +275,7 @@ func (w *stdioWorker) Execute(ctx context.Context, c *Cell) (*engine.Result, err
 	if err != nil {
 		return nil, err
 	}
-	if resp.Error != nil {
-		return nil, errorFromWire(resp.Error)
-	}
-	res := &engine.Result{ExitCode: resp.Exit, Output: resp.Output}
-	if resp.Stats != nil {
-		res.Stats = *resp.Stats
-	}
-	return res, nil
+	return resultFromWire(resp)
 }
 
 func (w *stdioWorker) Ping(ctx context.Context) error {

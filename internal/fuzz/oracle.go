@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -11,6 +12,7 @@ import (
 	"levioso/internal/cpu"
 	"levioso/internal/engine"
 	"levioso/internal/faultinject"
+	"levioso/internal/isa"
 	"levioso/internal/ref"
 	"levioso/internal/secure"
 	"levioso/internal/simerr"
@@ -165,7 +167,7 @@ func runPolicyOracles(ctx context.Context, v *Verdict, c *Case, pol string, want
 	// (d): the probe's guess must not equal the planted secret under any
 	// policy whose contract covers the V1 (control-dependent) shape.
 	if c.Profile == ProfileGadget {
-		checkGadgetLeak(v, c, pol, res.Output)
+		checkGadgetLeak(ctx, v, c, pol, res.Output, maxCycles, opt)
 	}
 
 	// (b): bit-identical determinism of the identical request.
@@ -196,8 +198,12 @@ func runPolicyOracles(ctx context.Context, v *Verdict, c *Case, pol string, want
 	}
 }
 
-// checkGadgetLeak implements oracle (d) for one policy's run output.
-func checkGadgetLeak(v *Verdict, c *Case, pol string, output string) {
+// checkGadgetLeak implements oracle (d) for one policy's run output. A
+// probe guess equal to the secret under a covering policy is only a leak if
+// the guess depends on the secret: the case is re-run once with a different
+// byte planted, and the leak stands only if the guess follows it. (A probe
+// can print a constant that happens to equal the planted byte.)
+func checkGadgetLeak(ctx context.Context, v *Verdict, c *Case, pol string, output string, maxCycles uint64, opt Options) {
 	guess, err := strconv.Atoi(strings.TrimSpace(output))
 	if err != nil {
 		v.add(Finding{Oracle: OracleSecurity, Policy: pol, Kind: "unparsable",
@@ -224,8 +230,33 @@ func checkGadgetLeak(v *Verdict, c *Case, pol string, output string) {
 		v.GadgetLeakUnsafe = true
 		return
 	}
+	if alt := replanted(c); alt != nil {
+		// Coverage off: the confirmation run must not move the campaign's
+		// coverage signature.
+		opt.Coverage = nil
+		res, err := engineRun(ctx, alt, pol, maxCycles, opt, false, nil)
+		v.Execs++
+		if err == nil && strings.TrimSpace(res.Output) != strconv.Itoa(int(alt.Secret)) {
+			return // the guess ignores the secret
+		}
+	}
 	v.add(Finding{Oracle: OracleSecurity, Policy: pol, Kind: "v1-leak",
 		Detail: fmt.Sprintf("probe recovered planted secret %d under %s (coverage promised)", c.Secret, pol)})
+}
+
+// replanted returns a copy of the gadget case with a different nonzero byte
+// planted at its secret symbol, or nil when the program has no such byte.
+func replanted(c *Case) *Case {
+	addr, ok := c.Prog.Symbols["secret"]
+	if !ok || addr < isa.DataBase || addr-isa.DataBase >= uint64(len(c.Prog.Data)) {
+		return nil
+	}
+	prog := *c.Prog
+	prog.Data = slices.Clone(c.Prog.Data)
+	alt := *c
+	alt.Prog, alt.Secret = &prog, byte((int(c.Secret)+127)%255+1) // never c.Secret, never 0
+	prog.Data[addr-isa.DataBase] = alt.Secret
+	return &alt
 }
 
 // coreInvariants is oracle (c): a direct core run (so the post-run core is

@@ -3,6 +3,8 @@ package fuzz
 import (
 	"context"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"levioso/internal/engine"
@@ -205,5 +207,39 @@ func TestParseFaultSpec(t *testing.T) {
 		if _, err := ParseFaultSpec(bad, 1); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
+	}
+}
+
+// TestGadgetGuessMustFollowSecret: case 322 of seed 1 plants secret 1, and
+// under levioso-ghost its probe prints 1 whatever byte is planted — a guess
+// that merely coincides with the secret is not a leak. The security oracle
+// confirms a suspected leak by re-planting a different byte and must find
+// the guess does not follow it.
+func TestGadgetGuessMustFollowSecret(t *testing.T) {
+	c, err := Generate(ProfileGadget, CaseSeed(1, 322), 322)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Secret != 1 {
+		t.Fatalf("case 322 plants secret %d; the regression needs the coinciding secret 1", c.Secret)
+	}
+	v := RunOracles(context.Background(), c, Options{Policies: []string{"levioso-ghost"}, NoStorm: true})
+	for _, f := range v.Findings {
+		t.Errorf("levioso-ghost on case 322: %s", f)
+	}
+
+	// The confirmation run can confirm, too: under unsafe the probe
+	// recovers the re-planted byte.
+	alt := replanted(c)
+	if alt == nil || alt.Secret == c.Secret {
+		t.Fatalf("replanted(case 322) = %+v", alt)
+	}
+	opt := Options{}.withDefaults()
+	res, err := engineRun(context.Background(), alt, "unsafe", opt.MaxCycles, opt, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.TrimSpace(res.Output); got != strconv.Itoa(int(alt.Secret)) {
+		t.Errorf("unsafe probe guessed %s, want the re-planted %d", got, alt.Secret)
 	}
 }

@@ -73,9 +73,8 @@ func Supervise(ctx context.Context, spec Spec) (*SweepResult, error) {
 
 	var journalErr error
 	var journalMu sync.Mutex
-	// Cells are dispatched to a fixed pool of workers draining one queue
-	// (the same shape as cpu.RunBatch, one tier up): a worker finishes a
-	// whole cell before taking the next, so at most maxParallel simulator
+	// Cells are dispatched to a fixed pool of workers draining one queue:
+	// a worker finishes a whole cell before taking the next, so at most maxParallel simulator
 	// working sets are live at once, instead of one goroutine per cell all
 	// fighting for the scheduler.
 	type cellJob struct {

@@ -14,9 +14,12 @@ import (
 )
 
 // BatchRequest is the JSON body of POST /v1/batch: many simulate cells in
-// one request. Each cell accepts the SimRequest fields (except ref, which
-// has no batch path). The whole batch is admitted or shed atomically — a
-// batch never loses half its cells to admission control partway through.
+// one request. Each cell accepts the SimRequest fields (except ref: a batch
+// line has no field for a reference run's instruction count). The whole
+// batch is admitted or shed atomically — a batch never loses half its cells
+// to admission control partway through — so a batch larger than the
+// coordinator's queue depth, which no queue state could ever admit, is a
+// permanent 400 rather than a retryable 503.
 type BatchRequest struct {
 	Cells []SimRequest `json:"cells"`
 }
@@ -80,18 +83,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			simerr.New(simerr.KindBuild, "serve: batch has no cells"))
 		return
 	}
-	if n > s.cfg.MaxBatchCells {
+	if limit := s.dispatch.QueueDepth(); limit >= 0 && n > limit {
 		writeError(w, http.StatusBadRequest,
-			simerr.New(simerr.KindBuild, "serve: batch of %d cells exceeds the %d-cell limit", n, s.cfg.MaxBatchCells))
+			simerr.New(simerr.KindBuild, "serve: batch of %d cells exceeds the %d-cell limit", n, limit))
 		return
 	}
 
 	// Whole-batch admission: shed now, with backpressure hints, or own
 	// capacity for every cell until the stream ends.
 	if err := s.dispatch.Admit(n); err != nil {
-		s.rejected.Add(1)
-		s.mRejected.Inc()
-		s.writeUnavailable(w, http.StatusServiceUnavailable, err)
+		s.writeEngineError(w, err)
 		return
 	}
 	defer s.dispatch.Release(n)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"testing"
 	"time"
@@ -57,7 +58,7 @@ func postBatch(t *testing.T, url string, br BatchRequest) ([]BatchCellResult, *B
 // cell bit-identical to a direct engine.Run, no index lost or duplicated,
 // and the trailer accounts for every line.
 func TestBatchStreamsCorrectResults(t *testing.T) {
-	_, ts := startServer(t, Config{Workers: 4})
+	_, ts := startServer(t, Config{Dispatch: &dispatch.Config{Workers: 4}})
 	policies := []string{"unsafe", "fence", "levioso", "delay"}
 	var br BatchRequest
 	for i := 0; i < 12; i++ {
@@ -130,17 +131,40 @@ func TestBatchPerCellErrors(t *testing.T) {
 	}
 }
 
-// TestBatchShedsWithRetryAfter: a batch beyond the admission cap is shed
-// atomically with 503, Retry-After, the shed kind, and queue depth in the
-// envelope.
+// TestBatchShedsWithRetryAfter: a batch that would fit an empty queue, but
+// not one whose capacity an in-flight batch holds, is shed atomically with
+// 503, Retry-After, the shed kind, and queue depth in the envelope — and
+// goes through once the capacity is released.
 func TestBatchShedsWithRetryAfter(t *testing.T) {
-	s, ts := startServer(t, Config{Dispatch: &dispatch.Config{Workers: 1, QueueDepth: 2}})
-	var br BatchRequest
-	for i := 0; i < 3; i++ {
-		br.Cells = append(br.Cells, SimRequest{Source: histSrc})
+	s, ts := startServer(t, Config{Dispatch: &dispatch.Config{Workers: 1, QueueDepth: 2, CacheEntries: -1}})
+	spin := SimRequest{Source: spinSrc, MaxCycles: 2_000_000_000}
+	hold, err := json.Marshal(BatchRequest{Cells: []SimRequest{spin, spin}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	body, _ := json.Marshal(br)
-	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(body))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/batch", bytes.NewReader(hold))
+	if err != nil {
+		t.Fatal(err)
+	}
+	holdDone := make(chan struct{})
+	go func() {
+		defer close(holdDone)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); s.Stats().Dispatch.Pending != 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("holding batch was never admitted")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	one, _ := json.Marshal(BatchRequest{Cells: []SimRequest{{Source: histSrc}}})
+	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(one))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,16 +182,25 @@ func TestBatchShedsWithRetryAfter(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 		t.Fatal(err)
 	}
-	if !env.Error.Retryable {
-		t.Fatalf("shed must be retryable: %+v", env.Error)
+	if !env.Error.Retryable || env.Error.QueueDepth != 2 {
+		t.Fatalf("shed must be retryable and report the queue depth: %+v", env.Error)
 	}
-	if st := s.Stats(); st.Dispatch.Shed == 0 {
-		t.Fatalf("shed not counted: %+v", st.Dispatch)
+	if st := s.Stats(); st.Dispatch.Shed == 0 || st.Rejected != 1 {
+		t.Fatalf("shed not counted: rejected=%d %+v", st.Rejected, st.Dispatch)
 	}
-	// A batch that fits still goes through on the same server.
-	cells, trailer, resp2 := postBatch(t, ts.URL, BatchRequest{Cells: br.Cells[:2]})
-	if resp2.StatusCode != http.StatusOK || trailer == nil || trailer.Completed != 2 {
-		t.Fatalf("in-cap batch after shed: status=%d trailer=%+v cells=%d",
+
+	// Hanging up releases the held capacity; the same batch then fits.
+	cancel()
+	<-holdDone
+	for deadline := time.Now().Add(30 * time.Second); s.Stats().Dispatch.Pending != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("held capacity leaked: %+v", s.Stats().Dispatch)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	cells, trailer, resp2 := postBatch(t, ts.URL, BatchRequest{Cells: []SimRequest{{Source: histSrc}}})
+	if resp2.StatusCode != http.StatusOK || trailer == nil || trailer.Completed != 1 {
+		t.Fatalf("batch after release: status=%d trailer=%+v cells=%d",
 			resp2.StatusCode, trailer, len(cells))
 	}
 }
@@ -176,7 +209,7 @@ func TestBatchShedsWithRetryAfter(t *testing.T) {
 // mid-stream keeps the lines already flushed, and the server neither wedges
 // nor leaks the admitted capacity.
 func TestBatchClientDisconnectKeepsPartialResults(t *testing.T) {
-	s, ts := startServer(t, Config{Workers: 1, Dispatch: &dispatch.Config{Workers: 1}, CacheEntries: -1})
+	s, ts := startServer(t, Config{Dispatch: &dispatch.Config{Workers: 1, CacheEntries: -1}})
 	var br BatchRequest
 	// One fast cell, then slow spinners the client will not wait for. The
 	// batch cache is disabled per-cell by distinct max_cycles values.
@@ -231,7 +264,7 @@ func TestBatchClientDisconnectKeepsPartialResults(t *testing.T) {
 
 // TestBatchValidation pins the request-level 400s.
 func TestBatchValidation(t *testing.T) {
-	_, ts := startServer(t, Config{MaxBatchCells: 2})
+	_, ts := startServer(t, Config{Dispatch: &dispatch.Config{QueueDepth: 2}})
 	for name, body := range map[string]string{
 		"empty":     `{"cells":[]}`,
 		"unknown":   `{"cells":[{"polcy":"fence"}]}`,

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"levioso/internal/dispatch"
 	"levioso/internal/fuzz"
 	"levioso/internal/obs"
 	"levioso/internal/simerr"
@@ -25,10 +25,10 @@ import (
 //	GET  /v1/fuzz/{id}/findings  — finding buckets, served live from the
 //	                               crash-safe campaign state file
 //
-// A campaign occupies one slot of the same bounded worker pool as
-// /v1/simulate for its whole life — a saturated pool answers 503 with the
-// usual Retry-After envelope rather than queueing an hours-long job behind
-// interactive requests. Campaign state lives under Config.FuzzDir/<id>, so
+// A campaign holds one worker slot of the coordinator every simulation runs
+// through (dispatch.Coordinator.TryHold) for its whole life — a saturated
+// pool answers 503 with the usual Retry-After envelope rather than queueing
+// an hours-long job behind interactive requests. Campaign state lives under Config.FuzzDir/<id>, so
 // re-POSTing a finished campaign's id with a larger count resumes it from
 // its directory exactly like `levfuzz -campaign`.
 
@@ -235,16 +235,13 @@ func (s *Server) handleFuzzStart(w http.ResponseWriter, r *http.Request) {
 
 	// One worker slot for the campaign's whole life, acquired non-blocking:
 	// a full pool answers 503 now rather than parking an hours-long job.
-	select {
-	case s.sem <- struct{}{}:
-	default:
+	release, ok := s.dispatch.TryHold()
+	if !ok {
 		s.fuzzMu.Unlock()
-		s.rejected.Add(1)
-		s.mRejected.Inc()
-		s.writeUnavailable(w, http.StatusServiceUnavailable, &simerr.RunError{
+		s.writeEngineError(w, &simerr.RunError{
 			Kind:   simerr.KindDeadline,
 			Detail: "serve: no worker slot free for a fuzz campaign",
-			Err:    context.DeadlineExceeded,
+			Err:    dispatch.ErrQueueTimeout,
 		})
 		return
 	}
@@ -259,19 +256,15 @@ func (s *Server) handleFuzzStart(w http.ResponseWriter, r *http.Request) {
 		run.mu.Unlock()
 	}
 
-	s.inFlight.Add(1)
-	s.mSimInflight.Inc()
 	go func() {
-		defer func() {
-			<-s.sem
-			s.inFlight.Add(-1)
-			s.mSimInflight.Dec()
-		}()
 		// The campaign's obs instruments (fuzz_campaign_*) land in this
 		// server's registry, so /metrics reports coverage growth, executions
 		// and finding throughput live.
 		ctx := obs.WithRegistry(s.fuzzCtx, s.reg)
 		sum, err := fuzz.Campaign(ctx, run.dir, opt)
+		// The slot goes back before the status flips: a client that sees
+		// the campaign finished can start the next one at once.
+		release()
 		run.mu.Lock()
 		defer run.mu.Unlock()
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"levioso/internal/dispatch"
 	"levioso/internal/obs"
 )
 
@@ -215,7 +216,7 @@ func TestServeFuzzErrors(t *testing.T) {
 // refused with the retryable 503 envelope, and re-POSTing the running id is
 // a 409. The running campaign is cancelled by server Close.
 func TestServeFuzzPoolFull503(t *testing.T) {
-	_, ts := startServer(t, Config{Workers: 1, FuzzDir: t.TempDir()})
+	_, ts := startServer(t, Config{Dispatch: &dispatch.Config{Workers: 1}, FuzzDir: t.TempDir()})
 
 	// A long campaign (no count bound, 1h duration cap via deadline default)
 	// holds the only slot. Count is large enough to outlive the test.
@@ -274,5 +275,31 @@ func TestServeVersionRoutes(t *testing.T) {
 		if !found {
 			t.Errorf("route %q missing from /v1/version: %v", want, v.Routes)
 		}
+	}
+}
+
+// TestServeFuzzReleasesSlot: a campaign returns the worker slot it held
+// when it finishes, and when it fails, so on a one-worker server the next
+// campaign is accepted each time.
+func TestServeFuzzReleasesSlot(t *testing.T) {
+	_, ts := startServer(t, Config{Dispatch: &dispatch.Config{Workers: 1}, FuzzDir: t.TempDir()})
+	start := func(req FuzzRequest) FuzzStatus {
+		t.Helper()
+		st, resp := postFuzz(t, ts.URL, fuzzTestBody(t, req))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("campaign %q: HTTP %d, want 202 (slot not returned?)", req.ID, resp.StatusCode)
+		}
+		return waitFuzzDone(t, ts.URL, st.ID)
+	}
+	if st := start(FuzzRequest{ID: "first"}); st.Status != "done" {
+		t.Fatalf("first campaign: %+v", st)
+	}
+	// Resuming "first" under a different seed is rejected by its state
+	// file: the run fails, and must still hand its slot back.
+	if st := start(FuzzRequest{ID: "first", Seed: 8}); st.Status != "failed" {
+		t.Fatalf("mismatched resume should fail: %+v", st)
+	}
+	if st := start(FuzzRequest{ID: "second"}); st.Status != "done" {
+		t.Fatalf("campaign after a failed one: %+v", st)
 	}
 }

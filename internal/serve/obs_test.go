@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"levioso/internal/dispatch"
 	"levioso/internal/obs"
 )
 
@@ -57,14 +58,15 @@ func TestServeMetricsSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("unparseable exposition:\n%v\n---\n%s", err, body)
 	}
-	// The families a dashboard is built on: per-route serve counters and
-	// the per-stage engine histograms (the simulate above must have landed
+	// The families a dashboard is built on: per-route serve counters, the
+	// coordinator's cache counters (the simulate above ran through it), and
+	// the per-stage engine histograms (it must have landed
 	// compile/assemble/annotate/simulate spans in this server's registry).
 	required := map[string]string{
 		"levserve_requests_total":     "counter",
 		"levserve_request_seconds":    "histogram",
 		"levserve_inflight_requests":  "gauge",
-		"levserve_cache_misses_total": "counter",
+		"dispatch_cache_misses_total": "counter",
 		"engine_stage_seconds":        "histogram",
 		"engine_runs_total":           "counter",
 	}
@@ -160,7 +162,7 @@ func TestServeErrorEnvelope(t *testing.T) {
 // by a long simulation, a short-deadline request must give up while queueing
 // with a retryable deadline-kind envelope.
 func TestServeQueueGiveUp503(t *testing.T) {
-	_, ts := startServer(t, Config{Workers: 1, CacheEntries: -1})
+	_, ts := startServer(t, Config{Dispatch: &dispatch.Config{Workers: 1, CacheEntries: -1}})
 
 	var wg sync.WaitGroup
 	wg.Add(1)

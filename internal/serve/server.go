@@ -1,11 +1,12 @@
 // Package serve implements levserve, the HTTP/JSON simulation daemon over
-// internal/engine. One Server owns a bounded worker pool (at most Workers
-// simulations in flight, the same semaphore pattern as the sweep
-// supervisor), per-request wall-clock deadlines, and an LRU result cache
-// keyed by (program hash, policy, config digest) — the simulator is
-// deterministic, so repeated sweep cells are served without re-simulating.
-// Request contexts are threaded into the engine end to end: a client that
-// disconnects cancels its in-flight simulation and frees the worker slot.
+// internal/engine. Every simulation — a /v1/simulate request is a cell of
+// one, a /v1/batch request many — runs through one dispatch.Coordinator:
+// its admission control, content-addressed result cache (the simulator is
+// deterministic, so repeated sweep cells are served without re-simulating),
+// single-flight dedup, retries, and worker slots. Fuzz campaigns hold one of
+// those slots for their whole life. Request contexts are threaded into the
+// engine end to end: a client that disconnects cancels its in-flight
+// simulation and frees the worker slot.
 //
 // Endpoints:
 //
@@ -82,11 +83,6 @@ const SchemaVersion = 3
 
 // Config tunes a Server. The zero value picks sane defaults.
 type Config struct {
-	// Workers bounds concurrent simulations (default GOMAXPROCS).
-	Workers int
-	// CacheEntries is the LRU result-cache capacity (default 256;
-	// negative disables caching).
-	CacheEntries int
 	// DefaultDeadline bounds requests that do not set deadline_ms
 	// (default 60s; negative means no default bound).
 	DefaultDeadline time.Duration
@@ -104,18 +100,18 @@ type Config struct {
 	// id gets a subdirectory holding its crash-safe state file and repros.
 	FuzzDir string
 
-	// Dispatch, when non-nil, configures the batch-execution coordinator
-	// (worker count, spawner, retry/breaker tuning — see dispatch.Config).
-	// Nil gets in-process workers sized like the simulate pool. The
-	// coordinator's metrics always land in this server's registry.
+	// Dispatch configures the coordinator every simulation runs through
+	// (see dispatch.Config): worker slots, spawner, result-cache size,
+	// queue depth — which also caps cells per /v1/batch request — and
+	// retry/breaker tuning. Nil, or zero Workers, gets GOMAXPROCS worker
+	// slots. The coordinator's metrics always land in this server's
+	// registry.
 	Dispatch *dispatch.Config
-	// MaxBatchCells caps cells per /v1/batch request (default 1024).
-	MaxBatchCells int
 
-	// Remote, when non-empty, dispatches batch cells to worker daemons at
-	// these TCP addresses (levserve -worker-listen) instead of local
-	// workers; Dispatch.Spawn, if also set, is overridden. Worker count
-	// defaults to len(Remote) so each peer gets one connection.
+	// Remote, when non-empty, dispatches cells to worker daemons at these
+	// TCP addresses (levserve -worker-listen) instead of local workers;
+	// Dispatch.Spawn, if also set, is overridden. Worker count defaults to
+	// len(Remote) so each peer gets one connection.
 	Remote []string
 	// RemoteConfig tunes the TCP transport lifecycle (dial timeout, redial
 	// backoff, heartbeat timeout, fault-injection conn wrapper). Its
@@ -124,33 +120,23 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.CacheEntries == 0 {
-		c.CacheEntries = 256
-	}
 	if c.DefaultDeadline == 0 {
 		c.DefaultDeadline = time.Minute
 	}
 	if c.MaxBody <= 0 {
 		c.MaxBody = 8 << 20
 	}
-	if c.MaxBatchCells <= 0 {
-		c.MaxBatchCells = 1024
-	}
 	return c
 }
 
-// Server is the levserve HTTP handler plus its worker pool, result cache,
-// and metrics registry.
+// Server is the levserve HTTP handler plus its execution coordinator and
+// metrics registry.
 type Server struct {
 	cfg      Config
-	sem      chan struct{}
-	cache    *resultCache
 	mux      *http.ServeMux
 	reg      *obs.Registry
 	dispatch *dispatch.Coordinator
+	workers  int                   // the coordinator's worker slots
 	fleet    *dispatch.RemoteFleet // non-nil when cfg.Remote is set
 
 	// fuzz campaign lifecycle: id -> run, plus the context every campaign
@@ -168,40 +154,30 @@ type Server struct {
 	requests atomic.Uint64
 	failures atomic.Uint64
 	rejected atomic.Uint64
-	inFlight atomic.Int64
 
-	// sim-path metrics, resolved once at construction (the hot path only
-	// touches atomics, never the registry's family map).
-	mCacheHits   *obs.Counter
-	mCacheMisses *obs.Counter
-	mRejected    *obs.Counter
-	mSimInflight *obs.Gauge
-	mBodyBytes   *obs.Histogram
+	// request-path metrics, resolved once at construction (the hot path
+	// only touches atomics, never the registry's family map).
+	mRejected  *obs.Counter
+	mBodyBytes *obs.Histogram
 }
 
 // New builds a server with the given configuration. Each server owns its
 // own obs.Registry (served at GET /metrics), so tests and multi-tenant
-// embeddings never share series. The error is the batch coordinator's: with
-// the default in-process workers it cannot fail, but a Dispatch
-// configuration spawning subprocess workers can. Close releases the
-// coordinator's workers.
+// embeddings never share series. The error is the coordinator's: with the
+// default in-process workers it cannot fail, but a Dispatch configuration
+// spawning subprocess workers can. Close releases the coordinator's workers.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	reg := obs.NewRegistry()
 	s := &Server{
 		cfg:       cfg,
-		sem:       make(chan struct{}, cfg.Workers),
-		cache:     newResultCache(cfg.CacheEntries),
 		mux:       http.NewServeMux(),
 		reg:       reg,
 		accessLog: cfg.AccessLog,
 		idBase:    fmt.Sprintf("%08x", uint32(time.Now().UnixNano())),
 
-		mCacheHits:   reg.Counter("levserve_cache_hits_total", "simulate requests served from the result cache"),
-		mCacheMisses: reg.Counter("levserve_cache_misses_total", "cacheable simulate requests that missed the result cache"),
-		mRejected:    reg.Counter("levserve_rejected_total", "requests that gave up while queueing for a worker slot"),
-		mSimInflight: reg.Gauge("levserve_sim_inflight", "simulations currently occupying a worker slot"),
-		mBodyBytes:   reg.Histogram("levserve_request_body_bytes", "declared simulate request body sizes in bytes", obs.SizeBuckets()),
+		mRejected:  reg.Counter("levserve_rejected_total", "requests shed by admission control or given up while queueing for a worker slot"),
+		mBodyBytes: reg.Histogram("levserve_request_body_bytes", "declared simulate request body sizes in bytes", obs.SizeBuckets()),
 	}
 	s.fuzzRuns = make(map[string]*campaignRun)
 	s.fuzzCtx, s.fuzzCancel = context.WithCancel(context.Background())
@@ -223,14 +199,14 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	if dcfg.Workers <= 0 {
-		dcfg.Workers = cfg.Workers
+		dcfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	dcfg.Registry = reg // batch-tier metrics belong to this server's /metrics
+	dcfg.Registry = reg // coordinator metrics belong to this server's /metrics
 	co, err := dispatch.New(context.Background(), dcfg)
 	if err != nil {
-		return nil, fmt.Errorf("serve: starting batch coordinator: %w", err)
+		return nil, fmt.Errorf("serve: starting coordinator: %w", err)
 	}
-	s.dispatch = co
+	s.dispatch, s.workers = co, dcfg.Workers
 
 	s.mux.HandleFunc("POST /v1/simulate", s.instrument("simulate", s.handleSimulate))
 	s.mux.HandleFunc("POST /v1/batch", s.instrument("batch", s.handleBatch))
@@ -258,10 +234,9 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the HTTP handler for the server.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close shuts down the batch coordinator and its workers, and cancels any
-// running fuzz campaigns (their state files keep every committed case, so a
-// later server resumes them). In-flight batch cells fail with transport
-// errors; the plain simulate path is unaffected.
+// Close shuts down the coordinator and its workers, and cancels any running
+// fuzz campaigns (their state files keep every committed case, so a later
+// server resumes them). In-flight simulate requests and batch cells fail.
 func (s *Server) Close() error {
 	s.fuzzCancel()
 	return s.dispatch.Close()
@@ -336,12 +311,13 @@ type ServerStats struct {
 	InFlight       int64  `json:"in_flight"`
 	Workers        int    `json:"workers"`
 	CacheEntries   int    `json:"cache_entries"`
-	// Dispatch is the batch tier: worker fleet health, retry/breaker/shed
-	// counters, and the shared batch result cache.
+	// Dispatch is the coordinator every simulation runs through: worker
+	// fleet health, retry/breaker/shed counters, and the shared result
+	// cache the top-level cache and in-flight numbers are read from.
 	Dispatch dispatch.Stats `json:"dispatch"`
 	// RemotePeers reports per-peer connection state (address, live
-	// connections, reconnects, partitions, heartbeat age) when the batch
-	// tier dispatches to remote TCP workers.
+	// connections, reconnects, partitions, heartbeat age) when the
+	// coordinator dispatches to remote TCP workers.
 	RemotePeers []dispatch.PeerStats `json:"remote_peers,omitempty"`
 }
 
@@ -409,20 +385,10 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	}})
 }
 
-// queueDepth is the server's total backlog: simulate requests in flight
-// plus admitted-but-unfinished batch cells.
-func (s *Server) queueDepth() int64 {
-	return s.inFlight.Load() + s.dispatch.Pending()
-}
-
 // retryAfterSeconds estimates when a shed or timed-out client should come
 // back: roughly one queue-drain's worth of time, clamped to [1s, 60s].
 func (s *Server) retryAfterSeconds() int {
-	workers := int64(s.cfg.Workers)
-	if workers < 1 {
-		workers = 1
-	}
-	sec := 1 + s.queueDepth()/workers
+	sec := 1 + s.dispatch.Pending()/int64(s.workers)
 	if sec > 60 {
 		sec = 60
 	}
@@ -441,20 +407,32 @@ func (s *Server) writeUnavailable(w http.ResponseWriter, status int, err error) 
 		Kind:       kind,
 		Message:    err.Error(),
 		Retryable:  simerr.Transient(err),
-		QueueDepth: s.queueDepth(),
+		QueueDepth: s.dispatch.Pending(),
 	}})
 }
 
+// unstarted reports a request the coordinator shed, or that gave up waiting
+// for a worker: no work happened.
+func unstarted(err error) bool {
+	return errors.Is(err, simerr.ErrShed) || errors.Is(err, dispatch.ErrQueueTimeout)
+}
+
 // writeEngineError routes a simulation failure to the right renderer:
-// load-related statuses get the Retry-After treatment, everything else the
-// plain envelope.
+// load-related failures — an unstarted request (503, counted as rejected)
+// or an overrun deadline (504) — get the Retry-After treatment, everything
+// else the plain envelope.
 func (s *Server) writeEngineError(w http.ResponseWriter, err error) {
 	status := statusFor(err)
-	if status == http.StatusServiceUnavailable || status == http.StatusGatewayTimeout {
+	switch {
+	case unstarted(err):
+		s.rejected.Add(1)
+		s.mRejected.Inc()
+		s.writeUnavailable(w, http.StatusServiceUnavailable, err)
+	case status == http.StatusGatewayTimeout:
 		s.writeUnavailable(w, status, err)
-		return
+	default:
+		writeError(w, status, err)
 	}
-	writeError(w, status, err)
 }
 
 // engineRequest translates the wire request into an engine request,
@@ -560,75 +538,46 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Resolve the program up front: build errors answer immediately without
-	// consuming a worker slot, and the resolved image is what the cache is
+	// touching the coordinator, and the resolved image is what its cache is
 	// keyed on.
 	prog, _, err := engine.Resolve(r.Context(), &req)
 	if err != nil {
 		s.writeEngineError(w, err)
 		return
 	}
-	req.Program, req.Source, req.AsmText, req.Binary = prog, "", "", nil
 
-	cfg := req.BuildConfig()
-	key, cacheable := engine.CacheKeyObserved(r.Context(), prog, req.Policy, cfg, req.UseRef, req.Verify)
-	if cacheable {
-		if res, ok := s.cache.Get(key); ok {
-			s.mCacheHits.Inc()
-			s.writeResult(w, res, true, start)
-			return
-		}
-		s.mCacheMisses.Inc()
-	}
-
-	// Per-request deadline on top of the client's own cancellation.
-	ctx := r.Context()
+	// The deadline bounds the whole request — queueing for a worker
+	// included — on top of the client's own cancellation; the cell carries
+	// it too, so a worker on the far side of a transport stops on its own.
 	deadline := s.cfg.DefaultDeadline
 	if sr.DeadlineMS > 0 {
 		deadline = time.Duration(sr.DeadlineMS) * time.Millisecond
 	}
+	ctx := r.Context()
 	if deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, deadline)
 		defer cancel()
+		req.Deadline = deadline
 	}
-
-	// Bounded worker pool: wait for a slot, but give up if the request dies
-	// first (client disconnect or deadline spent queueing). The give-up is a
-	// transient condition — the envelope says retryable, and a backoff-retry
-	// against a drained server succeeds.
-	select {
-	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		s.rejected.Add(1)
-		s.mRejected.Inc()
-		s.writeUnavailable(w, http.StatusServiceUnavailable, &simerr.RunError{
-			Kind:   simerr.KindDeadline,
-			Detail: "serve: request cancelled while waiting for a worker",
-			Err:    ctx.Err(),
-		})
-		return
-	}
-	defer func() { <-s.sem }()
-	s.inFlight.Add(1)
-	s.mSimInflight.Inc()
-	defer func() {
-		s.inFlight.Add(-1)
-		s.mSimInflight.Dec()
-	}()
-
-	res, err := engine.Run(ctx, req)
+	res, err := s.dispatch.Execute(ctx, &dispatch.Cell{
+		Name:      req.Name,
+		Program:   prog,
+		Overrides: req.Overrides,
+		Verify:    req.Verify,
+		UseRef:    req.UseRef,
+	})
 	if err != nil {
-		s.failures.Add(1)
+		if !unstarted(err) {
+			s.failures.Add(1)
+		}
 		s.writeEngineError(w, err)
 		return
 	}
-	if cacheable {
-		s.cache.Put(key, *res)
-	}
-	s.writeResult(w, *res, false, start)
+	s.writeResult(w, *res, start)
 }
 
-func (s *Server) writeResult(w http.ResponseWriter, res engine.Result, cached bool, start time.Time) {
+func (s *Server) writeResult(w http.ResponseWriter, res engine.Result, start time.Time) {
 	writeJSON(w, http.StatusOK, SimResponse{
 		SchemaVersion: SchemaVersion,
 		Exit:          res.ExitCode,
@@ -636,7 +585,7 @@ func (s *Server) writeResult(w http.ResponseWriter, res engine.Result, cached bo
 		Ref:           res.Ref,
 		Insts:         res.RefInsts,
 		Stats:         res.Stats,
-		Cached:        cached,
+		Cached:        res.Cached,
 		ElapsedMS:     time.Since(start).Milliseconds(),
 	})
 }
@@ -720,11 +669,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.reg.WriteProm(w)
 }
 
-// Stats snapshots the server counters. The cache numbers come from one
-// locked snapshot of the LRU, so hits/misses/evictions and the entry count
-// always describe the same cache state.
+// Stats snapshots the server counters. The cache and in-flight numbers are
+// the coordinator's: one locked snapshot of its result cache, so
+// hits/misses/evictions and the entry count always describe the same cache
+// state, and its admitted-but-unfinished cell count.
 func (s *Server) Stats() ServerStats {
-	cs := s.cache.Stats()
+	ds := s.dispatch.Snapshot()
+	cs := ds.Cache
 	var peers []dispatch.PeerStats
 	if s.fleet != nil {
 		peers = s.fleet.Peers()
@@ -738,9 +689,9 @@ func (s *Server) Stats() ServerStats {
 		CacheEvictions: cs.Evictions,
 		Failures:       s.failures.Load(),
 		Rejected:       s.rejected.Load(),
-		InFlight:       s.inFlight.Load(),
-		Workers:        s.cfg.Workers,
+		InFlight:       ds.Pending,
+		Workers:        s.workers,
 		CacheEntries:   cs.Entries,
-		Dispatch:       s.dispatch.Snapshot(),
+		Dispatch:       ds,
 	}
 }

@@ -6,14 +6,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"levioso/internal/dispatch"
 	"levioso/internal/engine"
 	"levioso/internal/secure"
 )
@@ -109,7 +112,7 @@ func TestServeSmoke(t *testing.T) {
 // policies and checks every response against a direct engine.Run of the same
 // request — the daemon is a transport, not a different pipeline.
 func TestServeConcurrentMatchesEngine(t *testing.T) {
-	_, ts := startServer(t, Config{Workers: 4, CacheEntries: -1})
+	_, ts := startServer(t, Config{Dispatch: &dispatch.Config{Workers: 4, CacheEntries: -1}})
 	policies := []string{"unsafe", "fence", "delay", "invisible", "levioso", "levioso-ghost", "taint", "levioso-ctrl"}
 
 	var wg sync.WaitGroup
@@ -145,7 +148,7 @@ func TestServeConcurrentMatchesEngine(t *testing.T) {
 // cancelled long-running request must still leave the pool usable for the
 // next request.
 func TestServeClientCancel(t *testing.T) {
-	s, ts := startServer(t, Config{Workers: 1, CacheEntries: -1})
+	s, ts := startServer(t, Config{Dispatch: &dispatch.Config{Workers: 1, CacheEntries: -1}})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	body, _ := json.Marshal(SimRequest{Source: spinSrc, MaxCycles: 2_000_000_000})
@@ -293,7 +296,7 @@ func TestServePoliciesDescriptors(t *testing.T) {
 // selects the same configuration as the inline spec (identical stats), and an
 // invalid value is a 400.
 func TestServePolicyParams(t *testing.T) {
-	_, ts := startServer(t, Config{CacheEntries: -1})
+	_, ts := startServer(t, Config{Dispatch: &dispatch.Config{CacheEntries: -1}})
 	inline, resp := postSimulate(t, ts.URL, SimRequest{Source: histSrc, Policy: "tunable:level=ctrl"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("inline spec: status %d", resp.StatusCode)
@@ -329,28 +332,40 @@ func TestServeMetaEndpoints(t *testing.T) {
 	}
 }
 
+// TestLRUEviction: simulate results live in the coordinator's LRU, sized by
+// Dispatch.CacheEntries — the least recently used entry is the one evicted,
+// and a negative capacity disables caching.
 func TestLRUEviction(t *testing.T) {
-	c := newResultCache(2)
-	c.Put("a", engine.Result{ExitCode: 1})
-	c.Put("b", engine.Result{ExitCode: 2})
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("a missing")
+	s, ts := startServer(t, Config{Dispatch: &dispatch.Config{Workers: 1, CacheEntries: 2}})
+	cached := func(policy string) bool {
+		t.Helper()
+		got, resp := postSimulate(t, ts.URL, SimRequest{Source: histSrc, Policy: policy})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", policy, resp.StatusCode)
+		}
+		return got.Cached
 	}
-	c.Put("c", engine.Result{ExitCode: 3}) // evicts b (a was just used)
-	if _, ok := c.Get("b"); ok {
-		t.Fatal("b should have been evicted")
+	cached("unsafe")
+	cached("fence")
+	if !cached("unsafe") {
+		t.Fatal("unsafe missing")
 	}
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("a should have survived")
+	cached("delay") // evicts fence (unsafe was just used)
+	if st := s.Stats(); st.CacheEntries != 2 || st.CacheEvictions != 1 {
+		t.Fatalf("entries=%d evictions=%d, want 2 and 1", st.CacheEntries, st.CacheEvictions)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len=%d", c.Len())
+	if !cached("unsafe") {
+		t.Fatal("unsafe should have survived")
 	}
-	if st := c.Stats(); st.Evictions != 1 {
-		t.Fatalf("evictions=%d, want 1", st.Evictions)
+	if cached("fence") {
+		t.Fatal("fence should have been evicted")
 	}
-	if disabled := newResultCache(-1); disabled != nil {
-		t.Fatal("negative capacity should disable the cache")
+
+	_, off := startServer(t, Config{Dispatch: &dispatch.Config{CacheEntries: -1}})
+	for i := 0; i < 2; i++ {
+		if got, _ := postSimulate(t, off.URL, SimRequest{Source: histSrc}); got.Cached {
+			t.Fatal("negative capacity should disable the cache")
+		}
 	}
 }
 
@@ -367,5 +382,92 @@ func TestServeBodyTooLarge(t *testing.T) {
 	small, resp := postSimulate(t, ts.URL, SimRequest{Source: "func main() { print(7); return 0; }"})
 	if resp.StatusCode != http.StatusOK || strings.TrimSpace(small.Output) != "7" {
 		t.Fatalf("small request after 413: status %d output %q", resp.StatusCode, small.Output)
+	}
+}
+
+// TestServeSimulateSingleFlight: N concurrent identical simulate requests
+// run one simulation — the coordinator's single-flight coalesces the
+// duplicates onto the leader's run — and every reply carries its result.
+func TestServeSimulateSingleFlight(t *testing.T) {
+	const n = 6
+	s, ts := startServer(t, Config{Dispatch: &dispatch.Config{Workers: n}})
+	// Long enough (hundreds of milliseconds) that every duplicate arrives
+	// while the leader is still simulating.
+	slow := strings.Replace(spinSrc, "200000000", "300000", 1)
+	replies := make([]SimResponse, n)
+	var wg sync.WaitGroup
+	for i := range replies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got, resp := postSimulate(t, ts.URL, SimRequest{Source: slow, Policy: "levioso"})
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("request %d: status %d", i, resp.StatusCode)
+			}
+			replies[i] = got
+		}(i)
+	}
+	wg.Wait()
+	fresh := 0
+	for i, r := range replies {
+		if !r.Cached {
+			fresh++
+		}
+		if r.Exit != replies[0].Exit || r.Output != replies[0].Output || r.Stats != replies[0].Stats {
+			t.Fatalf("reply %d differs from reply 0:\n got=%+v\nwant=%+v", i, r, replies[0])
+		}
+	}
+	if fresh != 1 {
+		t.Errorf("%d replies were not coalesced, want exactly the leader's", fresh)
+	}
+	body, _ := getBody(t, ts.URL+"/metrics")
+	for _, series := range []string{
+		fmt.Sprintf("dispatch_dedup_hits_total %d\n", n-1),
+		"engine_runs_total{outcome=\"ok\"} 1\n",
+	} {
+		if !strings.Contains(body, series) {
+			t.Errorf("exposition lacks %q:\n%s", series, body)
+		}
+	}
+	if st := s.Stats(); st.Dispatch.DedupHits != n-1 || st.InFlight != 0 {
+		t.Errorf("stats: dedup_hits=%d in_flight=%d, want %d and 0", st.Dispatch.DedupHits, st.InFlight, n-1)
+	}
+}
+
+// TestServeRefOverPipe: a reference-model simulate request dispatched to a
+// wire-protocol worker (the ref flag and instruction count round-trip the
+// frames) answers byte for byte what an in-process worker answers, apart
+// from the wall-clock elapsed_ms.
+func TestServeRefOverPipe(t *testing.T) {
+	elapsed := regexp.MustCompile(`"elapsed_ms":\d+`)
+	reply := func(cfg Config) []byte {
+		t.Helper()
+		_, ts := startServer(t, cfg)
+		body, _ := json.Marshal(SimRequest{Name: "hist.lc", Source: histSrc, Ref: true})
+		resp, err := http.Post(ts.URL+"/v1/simulate", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, out)
+		}
+		return elapsed.ReplaceAll(out, []byte(`"elapsed_ms":0`))
+	}
+	inproc := reply(Config{})
+	pipe := reply(Config{Dispatch: &dispatch.Config{Workers: 1, Spawn: dispatch.Pipe()}})
+	if !bytes.Equal(inproc, pipe) {
+		t.Fatalf("pipe reply differs from inproc:\n inproc=%s\n   pipe=%s", inproc, pipe)
+	}
+	var got SimResponse
+	if err := json.Unmarshal(pipe, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !got.Ref || got.Insts == 0 || got.Stats.Cycles != 0 {
+		t.Fatalf("not a reference-model reply: %s", pipe)
 	}
 }
