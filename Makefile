@@ -45,7 +45,12 @@ benchsmoke:
 # and diffs it byte-for-byte against the checked-in levbench_ref_output.txt.
 # The charact table carries exact cycle/IPC/mispredict/miss counts for every
 # workload, so any change to the simulator's timing model shows up here.
+# It first runs the full pinned-results matrix (every suite kernel under
+# every policy configuration, coverage on and off, against
+# internal/secure/testdata/sweep_stats.golden, with the policy Decide
+# contract checked), without -race so all twelve kernels run.
 golden:
+	$(GO) test -count=1 -run TestSweepStatsPinned ./internal/secure
 	$(GO) run ./cmd/levbench -exp charact -size ref > .golden_charact.out
 	awk '/^==> experiment charact$$/{f=1;next} /^==> experiment /{f=0} f' \
 		levbench_ref_output.txt | diff - .golden_charact.out

@@ -37,9 +37,9 @@ type Core struct {
 	// Physical register file.
 	regVal   []uint64
 	regReady []bool
-	rat      [isa.NumRegs]int // speculative rename map
-	commitRT [isa.NumRegs]int // architectural (retirement) map
-	freeList []int
+	rat      [isa.NumRegs]int32 // speculative rename map
+	commitRT [isa.NumRegs]int32 // architectural (retirement) map
+	freeList []int32
 
 	// Windows. rob/lq/sq are program-order queues with a moving head.
 	rob     []*DynInst
@@ -76,11 +76,21 @@ type Core struct {
 	dueBuf     []*DynInst
 
 	// active records whether the current cycle changed any simulation state
-	// (committed, completed, issued, renamed, fetched, consulted a policy,
-	// or bumped a stall counter). A cycle that did none of those is provably
-	// a pure wait — identical state next cycle — so Run jumps the cycle
-	// counter straight to the next timed event instead of replaying no-ops.
+	// (committed, completed, issued, renamed, fetched, or bumped a stall
+	// counter). A cycle that did none of those is provably a pure wait —
+	// identical state next cycle — so Run jumps the cycle counter straight
+	// to the next timed event instead of replaying no-ops. waits counts the
+	// cycle's policy Wait verdicts: they change nothing the next cycle would
+	// see, so they do not make it active, and each skipped cycle is credited
+	// the same count (see idleSkip).
 	active bool
+	waits  uint64
+
+	// verdictEpoch advances whenever a policy's Wait verdict may change:
+	// at every resolved branch slot, which every squash includes (see the
+	// Decide contract on Policy). A waiting instruction whose waitEpoch
+	// still matches is not asked again.
+	verdictEpoch uint32
 
 	// Free pools (see pool.go): recycled DynInst/Checkpoint objects so the
 	// steady-state fetch path performs no heap allocation.
@@ -199,7 +209,7 @@ func New(prog *isa.Program, cfg Config, pol Policy) (*Core, error) {
 	c.lq = make([]*DynInst, 0, 4*cfg.LQSize+cfg.LQSize+8)
 	c.sq = make([]*DynInst, 0, 4*cfg.SQSize+cfg.SQSize+8)
 	c.fetchBuf = make([]*DynInst, 0, 4*cfg.FetchBufSize+cfg.FetchBufSize+8)
-	for r := 0; r < isa.NumRegs; r++ {
+	for r := range int32(isa.NumRegs) {
 		c.rat[r] = r
 		c.commitRT[r] = r
 		c.regReady[r] = true
@@ -207,7 +217,7 @@ func New(prog *isa.Program, cfg Config, pol Policy) (*Core, error) {
 	c.regVal[isa.RegSP] = isa.StackTop
 	c.regVal[isa.RegGP] = isa.DataBase
 	for p := isa.NumRegs; p < cfg.NumPhysRegs; p++ {
-		c.freeList = append(c.freeList, p)
+		c.freeList = append(c.freeList, int32(p))
 	}
 	c.fetchPC = prog.Entry
 	c.lastFetchLine = ^uint64(0)
@@ -263,16 +273,19 @@ func (c *Core) RunContext(ctx context.Context) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Power-of-two mask so the check costs one AND per cycle. At the
-	// simulator's throughput this bounds cancellation latency well under a
-	// millisecond.
-	const checkMask = 1<<13 - 1
+	// At the simulator's throughput this interval bounds cancellation
+	// latency well under a millisecond. The check fires once the cycle
+	// counter passes the next check point: idleSkip jumps the counter, so it
+	// may never land exactly on a multiple of the interval.
+	const checkEvery = 1 << 13
+	nextCheck := c.cycle + checkEvery
 	for !c.halted {
 		if err := c.Step(); err != nil {
 			return Result{}, err
 		}
 		c.idleSkip()
-		if c.cycle&checkMask == 0 {
+		if c.cycle >= nextCheck {
+			nextCheck = c.cycle + checkEvery
 			select {
 			case <-ctx.Done():
 				return Result{}, &simerr.RunError{
@@ -344,6 +357,7 @@ func (c *Core) Step() error {
 		}
 	}
 	c.active = false
+	c.waits = 0
 	if c.cfg.CommitStall == nil || !c.cfg.CommitStall(c.cycle) {
 		if err := c.commit(); err != nil {
 			return err
@@ -359,12 +373,14 @@ func (c *Core) Step() error {
 // idleSkip advances the cycle counter to just before the next timed event
 // when the cycle that just executed was provably a pure wait (no stage
 // changed any state — see Core.active). Every skipped cycle would have been
-// an identical no-op: the only cycle-dependent conditions in the pipeline
+// an identical replay: the only cycle-dependent conditions in the pipeline
 // are the completion wheel, the fetch-stall and divider release times, the
 // invisible-load exposure at the commit head, and the watchdog/limit trips —
-// all accounted for below. With a CommitStall hook installed (fault
-// injection) cycles are never skipped, since the hook must be consulted
-// every cycle.
+// all accounted for below. A replayed cycle reaches the same policy Wait
+// verdicts (no slot resolves in between), so each skipped cycle adds the
+// last cycle's wait count to PolicyWaitEvents. With a CommitStall hook
+// installed (fault injection) cycles are never skipped, since the hook must
+// be consulted every cycle.
 func (c *Core) idleSkip() {
 	if c.active || c.halted || c.cfg.CommitStall != nil {
 		return
@@ -404,6 +420,7 @@ func (c *Core) idleSkip() {
 		next = c.cfg.MaxCycles + 1
 	}
 	if next > c.cycle+1 {
+		c.stats.PolicyWaitEvents += (next - 1 - c.cycle) * c.waits
 		c.cycle = next - 1 // the next Step lands exactly on the event cycle
 	}
 }
@@ -434,10 +451,13 @@ func (c *Core) commit() error {
 	// instruction that the compiler cannot eliminate across calls.
 	cw := c.cfg.CommitWidth
 	robLen := len(c.rob)
+	// Every exit except a fault reaches the compact() after the loop, so
+	// the queues stay bounded even in cycles where the head is not done.
+retire:
 	for n := 0; n < cw && c.robHead < robLen; n++ {
 		d := c.rob[c.robHead]
 		if d.State != StateDone {
-			return nil
+			break
 		}
 		m := d.m
 		op := m.inst.Op
@@ -472,12 +492,10 @@ func (c *Core) commit() error {
 					c.Hier.FillVisible(d.Addr)
 					d.exposeUntil = c.cycle + uint64(lat)
 					c.active = true // exposure access started
-					c.compact()
-					return nil
+					break retire
 				}
 				if c.cycle < d.exposeUntil {
-					c.compact()
-					return nil
+					break retire
 				}
 				c.stats.InvisibleLoads++
 			}
@@ -500,7 +518,7 @@ func (c *Core) commit() error {
 		case op == isa.FENCE:
 			c.popFence(d.Seq)
 		case m.flags&mCondBranch != 0:
-			c.Pred.UpdateBranch(d.PhtIdx, d.ActualTaken)
+			c.Pred.UpdateBranch(int(d.PhtIdx), d.ActualTaken)
 			c.stats.CondBranches++
 			if d.Mispredict {
 				c.stats.CondMispredicts++
@@ -646,9 +664,10 @@ func (c *Core) complete() {
 // rename/predictor state before resolving the mispredicted instruction's own
 // slot.
 func (c *Core) resolveSlot(d *DynInst) {
-	slot := d.BrSlot
+	slot := int(d.BrSlot)
 	d.BrSlot = -1
 	c.BT.Resolve(slot)
+	c.verdictEpoch++
 	// Under the NopPolicy no instruction ever carries a dependency mask
 	// (OnRename is a no-op and masks reset with the object), so the
 	// O(window) clearing walk is pure overhead and is skipped.
@@ -727,7 +746,7 @@ func (c *Core) recoverFrom(d *DynInst) {
 	c.fbHead = 0
 
 	// Branch table: free younger slots and restore region state.
-	c.BT.Squash(d.Seq, d.BrSlot)
+	c.BT.Squash(d.Seq, int(d.BrSlot))
 
 	// Restore the rename map and predictor state.
 	c.rat = d.Check.RAT
@@ -742,7 +761,8 @@ func (c *Core) recoverFrom(d *DynInst) {
 	}
 
 	// Resolve the mispredicted control instruction's own slot last: this
-	// recycles its checkpoint, which the restores above still read.
+	// recycles its checkpoint, which the restores above still read. It also
+	// advances verdictEpoch, so the survivors' Wait verdicts are re-asked.
 	c.resolveSlot(d)
 
 	c.fetchPC = d.ActualNext
@@ -786,7 +806,7 @@ type waiter struct {
 // drops one pending operand and joins the ready queue (in age order) when its
 // last one arrives. An instruction reading the same register through both
 // source operands parked twice and is woken twice.
-func (c *Core) wake(p int) {
+func (c *Core) wake(p int32) {
 	ws := c.waiters[p]
 	for _, w := range ws {
 		d := w.d
@@ -903,15 +923,21 @@ func (c *Core) issue() {
 			// Port availability checked in the mMemPort block above.
 		}
 		// Policy gate (skipped for the NopPolicy baseline: always Proceed).
-		// A Decide call is activity even on Wait: it mutates policy state and
-		// the wait statistics, so such cycles are never skipped.
+		// A Wait verdict stands until the next verdictEpoch bump (the Decide
+		// contract), so it is reused rather than re-asked. A wait is not
+		// activity: it changes nothing the next cycle would see.
 		decision := Proceed
 		if !c.nop {
-			c.active = true
-			decision = c.policy.Decide(d)
+			if d.EverWaited && d.waitEpoch == c.verdictEpoch {
+				decision = Wait
+			} else {
+				decision = c.policy.Decide(d)
+			}
 			if decision == Wait {
 				d.EverWaited = true
+				d.waitEpoch = c.verdictEpoch
 				c.stats.PolicyWaitEvents++
+				c.waits++
 				if c.cov != nil {
 					c.cov.mark(covPolicyWait, covSite(d), 0)
 				}
@@ -955,7 +981,7 @@ func (c *Core) srcsReady(d *DynInst) bool {
 	return true
 }
 
-func (c *Core) srcVal(phys int) uint64 {
+func (c *Core) srcVal(phys int32) uint64 {
 	if phys < 0 {
 		return 0
 	}
@@ -1090,7 +1116,7 @@ func (c *Core) rename() {
 				c.fbHead--
 				return
 			}
-			d.BrSlot = slot
+			d.BrSlot = int32(slot)
 			d.Check.RAT = c.rat
 		}
 		if m.flags&mFenceHalt != 0 {
@@ -1177,7 +1203,7 @@ func (c *Core) fetch() {
 			d.Check = c.newCheckpoint()
 			c.Pred.CheckpointInto(&d.Check.Pred)
 			taken, idx := c.Pred.PredictBranch(c.fetchPC)
-			d.PredTaken, d.PhtIdx = taken, idx
+			d.PredTaken, d.PhtIdx = taken, int32(idx)
 			if taken {
 				next = m.target
 			}

@@ -77,8 +77,8 @@ func (c *Core) CheckInvariants() error {
 	// (commitRT image), a live in-flight destination, or free. OldDst values
 	// alias one of the first two until their instruction commits.
 	owner := make([]string, c.cfg.NumPhysRegs)
-	claim := func(p int, who string) error {
-		if p < 0 || p >= len(owner) {
+	claim := func(p int32, who string) error {
+		if p < 0 || int(p) >= len(owner) {
 			return fmt.Errorf("cpu: invariant: %s claims out-of-range phys reg %d", who, p)
 		}
 		if owner[p] != "" {
@@ -114,7 +114,7 @@ func (c *Core) CheckInvariants() error {
 	// destinations, never at a free register.
 	for r := 0; r < isa.NumRegs; r++ {
 		p := c.rat[r]
-		if p < 0 || p >= len(owner) {
+		if p < 0 || int(p) >= len(owner) {
 			return fmt.Errorf("cpu: invariant: rat[%s] = %d out of range", isa.Reg(r), p)
 		}
 		if owner[p] == "freeList" {

@@ -68,7 +68,7 @@ func (s *secretState) commitStore(d *DynInst, size int) {
 	s.set.MarkStored(d.Addr, size, d.Secret)
 }
 
-func (s *secretState) reg(p int) bool {
+func (s *secretState) reg(p int32) bool {
 	return p >= 0 && s.regSec[p]
 }
 
@@ -76,5 +76,5 @@ func (s *secretState) reg(p int) bool {
 // secret-tainted data. Always false when the active policy does not request
 // secret tracking.
 func (c *Core) RegSecret(p int) bool {
-	return c.sec != nil && c.sec.reg(p)
+	return c.sec != nil && p >= 0 && c.sec.regSec[p]
 }

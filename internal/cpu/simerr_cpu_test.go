@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"levioso/internal/asm"
+	"levioso/internal/lang"
 	"levioso/internal/simerr"
 )
 
@@ -107,6 +108,38 @@ func TestRunContextDeadlineTypedError(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Error("deadline error must wrap the context cause")
+	}
+}
+
+// TestRunContextCancelsAcrossIdleSkips is the regression test for a
+// cancellation check that fired only when the cycle counter landed exactly
+// on a multiple of the check interval. Under a fence policy this loop's
+// wait-only cycles are skipped in jumps that never land on one, so a
+// cancelled run kept going until its cycle limit.
+func TestRunContextCancelsAcrossIdleSkips(t *testing.T) {
+	prog, err := lang.Compile("spin.lc", `
+func main() {
+	var i;
+	var s = 1;
+	for (i = 0; i < 200000000; i = i + 1) { s = s + i; }
+	return 0;
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.MaxCycles = 2_000_000
+	c, err := New(prog, cfg, &fenceTestPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.RunContext(ctx); !errors.Is(err, simerr.ErrDeadline) {
+		t.Fatalf("cancelled run: want ErrDeadline, got %v", err)
+	}
+	if c.CycleCount() > 2<<13 {
+		t.Errorf("cancellation seen at cycle %d, past the second check interval", c.CycleCount())
 	}
 }
 

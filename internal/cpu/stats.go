@@ -27,7 +27,12 @@ type Stats struct {
 	RestrictedTransmitters uint64 // committed transmitters the policy ever blocked
 	SpecTransmitters       uint64 // committed transmitters issued while >=1 older branch unresolved (what a conservative scheme must restrict)
 	InvisibleLoads         uint64 // committed loads executed invisibly
-	PolicyWaitEvents       uint64 // instruction-cycles spent policy-blocked
+	// PolicyWaitEvents counts Wait verdicts reached past the structural
+	// issue gates: one per instruction per cycle in which it was ready,
+	// passed the fence, port, unit and memory-ordering checks, and was held
+	// by the policy. Cycles the core fast-forwards are credited the same
+	// count as the cycle before them.
+	PolicyWaitEvents uint64
 
 	BDTAllocStalls uint64 // rename stalls because the branch table was full
 

@@ -1,10 +1,11 @@
 package secure
 
 import (
-	"bufio"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,33 +32,16 @@ func pinKernels() []workloads.Workload {
 	return ws
 }
 
-// pinLine renders one run as its golden line: the full Stats, the exit code,
-// the console output and a SHA-256 of the coverage bitmap (all zero when no
-// sink was attached).
-func pinLine(kernel, spec string, cov bool, res cpu.Result, sink *cpu.CoverageSink) string {
-	var bits [cpu.CoverageWords * 8]byte
-	if sink != nil {
-		for i, w := range sink.Bits {
-			for j := 0; j < 8; j++ {
-				bits[i*8+j] = byte(w >> (8 * j))
-			}
-		}
-	}
-	// rawStats drops Stats' String method so every field prints.
-	type rawStats cpu.Stats
-	return fmt.Sprintf("%s %s cov=%t exit=%d out=%q covsha=%x stats=%+v",
-		kernel, spec, cov, res.ExitCode, res.Output, sha256.Sum256(bits[:]), rawStats(res.Stats))
-}
-
 // runPinned runs prog under pol with the default core and, when cov is set,
-// a coverage sink, and renders the golden line.
+// a coverage sink, and renders its golden line: the full Stats, the exit
+// code, the console output and a SHA-256 of the coverage bitmap (all zero
+// without a sink).
 func runPinned(t *testing.T, kernel, spec string, prog *isa.Program, pol cpu.Policy, cov bool) string {
 	t.Helper()
 	cfg := cpu.DefaultConfig()
-	var sink *cpu.CoverageSink
+	var sink cpu.CoverageSink
 	if cov {
-		sink = new(cpu.CoverageSink)
-		cfg.Coverage = sink
+		cfg.Coverage = &sink
 	}
 	c, err := cpu.New(prog, cfg, pol)
 	if err != nil {
@@ -67,26 +51,27 @@ func runPinned(t *testing.T, kernel, spec string, prog *isa.Program, pol cpu.Pol
 	if err != nil {
 		t.Fatalf("%s under %s: %v", kernel, spec, err)
 	}
-	return pinLine(kernel, spec, cov, res, sink)
+	var bits []byte
+	for _, w := range sink.Bits {
+		bits = binary.LittleEndian.AppendUint64(bits, w)
+	}
+	// rawStats drops Stats' String method so every field prints.
+	type rawStats cpu.Stats
+	return fmt.Sprintf("%s %s cov=%t exit=%d out=%q covsha=%x stats=%+v",
+		kernel, spec, cov, res.ExitCode, res.Output, sha256.Sum256(bits), rawStats(res.Stats))
 }
 
-// loadPins reads the golden file into a map keyed by the line's first three
-// fields (kernel, spec, coverage flag).
+// loadPins reads the golden file into a map keyed by each line's first
+// three fields (kernel, spec, coverage flag).
 func loadPins(t *testing.T) map[string]string {
 	t.Helper()
-	f, err := os.Open(sweepPinsFile)
+	data, err := os.ReadFile(sweepPinsFile)
 	if err != nil {
 		t.Fatalf("%v (regenerate with UPDATE_SWEEP_PINS=1 go test -run TestSweepStatsPinned ./internal/secure)", err)
 	}
-	defer f.Close()
 	pins := make(map[string]string)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	for sc.Scan() {
-		pins[pinKey(sc.Text())] = sc.Text()
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		pins[pinKey(line)] = line
 	}
 	return pins
 }
@@ -103,6 +88,11 @@ func pinKey(line string) string {
 // the policies or the memory model must leave every line unchanged; a
 // deliberate timing-model change regenerates the file with
 // UPDATE_SWEEP_PINS=1 (full matrix only; never under -short or -race).
+//
+// The runs without a sink also enforce the Decide contract (see
+// contractChecker). The checker only observes, and the core drives any
+// policy other than cpu.NopPolicy through the same calls with or without
+// it, so those runs still reproduce their pinned lines.
 func TestSweepStatsPinned(t *testing.T) {
 	update := os.Getenv("UPDATE_SWEEP_PINS") != ""
 	if update && (testing.Short() || raceEnabled) {
@@ -117,8 +107,16 @@ func TestSweepStatsPinned(t *testing.T) {
 		prog := w.MustBuild(workloads.SizeTest)
 		for _, spec := range SweepSpecs() {
 			for _, cov := range []bool{false, true} {
-				got := runPinned(t, w.Name, spec, prog, MustNew(spec), cov)
+				pol := MustNew(spec)
+				var chk *contractChecker
+				if _, nop := pol.(cpu.NopPolicy); !nop && !cov {
+					chk, pol = checkContract(pol)
+				}
+				got := runPinned(t, w.Name, spec, prog, pol, cov)
 				lines = append(lines, got)
+				if chk != nil && chk.violation != "" {
+					t.Errorf("%s under %s: %s", w.Name, spec, chk.violation)
+				}
 				if update {
 					continue
 				}
@@ -138,39 +136,18 @@ func TestSweepStatsPinned(t *testing.T) {
 	}
 }
 
-// TestDecideContract enforces the contract the core's verdict cache relies
-// on (see cpu.Policy): once Decide returns Wait for an instruction, it keeps
+// contractChecker enforces the contract the core's verdict cache relies on
+// (see cpu.Policy): once Decide returns Wait for an instruction, it keeps
 // returning Wait until the core next reports a resolved branch slot or a
-// squash. Every registered configuration runs wrapped in a checker that
-// re-asks the inner policy about every instruction it has seen wait since
-// the last such event, on every hook the core calls in between. The wrapper
-// only observes, so each run must also reproduce its pinned line.
-func TestDecideContract(t *testing.T) {
-	want := loadPins(t)
-	for _, w := range pinKernels() {
-		prog := w.MustBuild(workloads.SizeTest)
-		for _, spec := range SweepSpecs() {
-			chk := &contractChecker{inner: MustNew(spec)}
-			var pol cpu.Policy = chk
-			if _, ok := chk.inner.(cpu.SecretTainter); ok {
-				pol = contractTainter{chk}
-			}
-			got := runPinned(t, w.Name, spec, prog, pol, false)
-			if chk.violation != "" {
-				t.Errorf("%s under %s: %s", w.Name, spec, chk.violation)
-			}
-			if exp := want[pinKey(got)]; got != exp {
-				t.Errorf("checker changed the result:\n got  %s\n want %s", got, exp)
-			}
-		}
-	}
-}
-
-// contractChecker wraps a policy and records the first violation of the
-// Decide contract it observes.
+// squash. It wraps a policy, and at the first hook call of every cycle
+// re-asks the inner policy about each instruction it has seen wait since the
+// last such event — the cycles in which a core without the cache would have
+// asked again. It records the first violation.
 type contractChecker struct {
 	inner     cpu.Policy
+	c         *cpu.Core
 	waiting   []*cpu.DynInst // told Wait since the last resolve or squash
+	checked   uint64         // cycle of the last recheck
 	violation string
 }
 
@@ -180,9 +157,26 @@ type contractTainter struct{ *contractChecker }
 
 func (contractTainter) UsesSecretTaint() {}
 
-func (p *contractChecker) Name() string       { return p.inner.Name() }
-func (p *contractChecker) Attach(c *cpu.Core) { p.inner.Attach(c) }
-func (p *contractChecker) Reset()             { p.inner.Reset(); p.waiting = nil }
+// checkContract wraps pol in a contractChecker.
+func checkContract(pol cpu.Policy) (*contractChecker, cpu.Policy) {
+	chk := &contractChecker{inner: pol}
+	if _, ok := pol.(cpu.SecretTainter); ok {
+		return chk, contractTainter{chk}
+	}
+	return chk, chk
+}
+
+func (p *contractChecker) Name() string { return p.inner.Name() }
+
+func (p *contractChecker) Attach(c *cpu.Core) {
+	p.c = c
+	p.inner.Attach(c)
+}
+
+func (p *contractChecker) Reset() {
+	p.inner.Reset()
+	p.waiting = nil
+}
 
 func (p *contractChecker) OnRename(d *cpu.DynInst) {
 	p.recheck()
@@ -192,12 +186,7 @@ func (p *contractChecker) OnRename(d *cpu.DynInst) {
 func (p *contractChecker) Decide(d *cpu.DynInst) cpu.Decision {
 	p.recheck()
 	v := p.inner.Decide(d)
-	if v == cpu.Wait {
-		for _, w := range p.waiting {
-			if w == d {
-				return v
-			}
-		}
+	if v == cpu.Wait && !slices.Contains(p.waiting, d) {
 		p.waiting = append(p.waiting, d)
 	}
 	return v
@@ -218,13 +207,14 @@ func (p *contractChecker) OnSquash(d *cpu.DynInst) {
 	p.inner.OnSquash(d)
 }
 
-// recheck re-asks the inner policy about every recorded waiter. A Wait
-// verdict has no side effects in any policy, so asking again is harmless
-// while the contract holds.
+// recheck re-asks the inner policy about every recorded waiter, once per
+// cycle. A Wait verdict has no side effects in any policy, so asking again
+// is harmless while the contract holds.
 func (p *contractChecker) recheck() {
-	if p.violation != "" {
+	if p.violation != "" || p.c.CycleCount() == p.checked {
 		return
 	}
+	p.checked = p.c.CycleCount()
 	for _, w := range p.waiting {
 		if v := p.inner.Decide(w); v != cpu.Wait {
 			p.violation = fmt.Sprintf("seq %d %v: Wait turned into %d with no resolve or squash in between",

@@ -42,7 +42,7 @@ func (p *prospectPolicy) OnRename(d *cpu.DynInst) {
 // once every source has written back, and the core publishes a producer's
 // taint at execute, strictly before the ready wakeup.
 func (p *prospectPolicy) Decide(d *cpu.DynInst) cpu.Decision {
-	if d.WaitMask != 0 && (p.c.RegSecret(d.Src1) || p.c.RegSecret(d.Src2)) {
+	if d.WaitMask != 0 && (p.c.RegSecret(int(d.Src1)) || p.c.RegSecret(int(d.Src2))) {
 		return cpu.Wait
 	}
 	return cpu.Proceed

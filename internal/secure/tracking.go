@@ -76,10 +76,10 @@ func (p *trackingPolicy) Decide(d *cpu.DynInst) cpu.Decision {
 	m := d.WaitMask
 	if p.data {
 		if d.Src1 >= 0 {
-			m |= p.dep.Get(d.Src1)
+			m |= p.dep.Get(int(d.Src1))
 		}
 		if d.Src2 >= 0 {
-			m |= p.dep.Get(d.Src2)
+			m |= p.dep.Get(int(d.Src2))
 		}
 	}
 	decision := cpu.Proceed
@@ -97,7 +97,7 @@ func (p *trackingPolicy) Decide(d *cpu.DynInst) cpu.Decision {
 		}
 		d.DataMask = out
 		if d.Dst >= 0 {
-			p.dep.Set(d.Dst, out)
+			p.dep.Set(int(d.Dst), out)
 		}
 	}
 	return decision
@@ -113,7 +113,7 @@ func (p *trackingPolicy) OnForward(load, store *cpu.DynInst) {
 	m := load.DataMask | store.DataMask
 	load.DataMask = m
 	if load.Dst >= 0 {
-		p.dep.Set(load.Dst, m)
+		p.dep.Set(int(load.Dst), m)
 	}
 }
 
