@@ -105,23 +105,25 @@ netchaossmoke:
 	$(GO) test -race -count=1 -run 'TestRemote|TestSingleFlight' ./internal/dispatch
 	$(GO) test -race -count=1 -run TestServeRemoteBatch ./internal/serve
 
-# fuzzsmoke runs the differential fuzzer for a fixed-seed ten-second
-# session: seeded random programs (all six generation profiles) judged by
-# the full oracle stack — architectural differential vs the reference model,
-# bit-exact determinism, core invariants under squash storms, the gadget
-# security oracle — under every registered policy. Any finding fails ci.
+# fuzzsmoke runs the differential fuzzer as a fixed-seed, fixed-count
+# campaign: seeded random and mutated programs (all six generation profiles)
+# judged by the full oracle stack — architectural differential vs the
+# reference model, bit-exact determinism, core invariants under squash
+# storms, the gadget security oracle — under every registered policy. The
+# outcome does not depend on the machine's speed. Any finding fails ci.
 fuzzsmoke:
-	$(GO) run ./cmd/levfuzz -duration 10s -seed 1 -q
+	$(GO) run ./cmd/levfuzz -count 400 -seed 1 -q
 
 # campaignsmoke is the coverage-guided campaign gate, under -race: a seeded
-# campaign is SIGKILLed mid-run from a subprocess and resumed — no committed
-# case may re-execute and the converged state file must be bit-identical to
-# an uninterrupted run's; the guided scheduler must beat blind generation at
-# a fixed seed and budget; and the daemon's /v1/fuzz endpoints must complete
-# a campaign end to end with valid Prometheus exposition for the
-# fuzz_campaign_* families.
+# campaign is SIGKILLed mid-run from a subprocess and resumed — it must
+# resume at an epoch boundary, no committed case may re-execute, and the
+# converged state file must be bit-identical to an uninterrupted run's; the
+# same seed judged on 1, 2 and 8 workers must write byte-identical state
+# files; the guided scheduler must beat blind generation at a fixed seed and
+# budget; and the daemon's /v1/fuzz endpoints must complete a campaign end
+# to end with valid Prometheus exposition for the fuzz_campaign_* families.
 campaignsmoke:
-	$(GO) test -race -count=1 -run 'TestCampaignKillResume|TestCampaignResumeDeterminism|TestCampaignGuidedBeatsBlind' ./internal/fuzz
+	$(GO) test -race -count=1 -run 'TestCampaignKillResume|TestCampaignResumeDeterminism|TestCampaignWorkersIdentical|TestCampaignGuidedBeatsBlind' ./internal/fuzz
 	$(GO) test -race -count=1 -run 'TestServeFuzz' ./internal/serve
 
 # attacksmoke replays the attack expectation matrix: all four transient-
@@ -141,7 +143,7 @@ replay:
 # pass (catches bench-only compile/regression breakage), the cmd/ import
 # gate, the levserve smoke test, the seeded chaos smoke (batch dispatch under
 # a transport-fault storm), the seeded network chaos smoke (remote TCP
-# workers under a connection-fault storm), the fixed-seed fuzz smoke +
+# workers under a connection-fault storm), the fixed-count fuzz smoke +
 # corpus replay, the kill -9 campaign resume smoke, the attack
 # expectation-matrix replay, and the golden timing-model diff.
 ci:

@@ -4,29 +4,28 @@
 // judges each run with the oracle stack — architectural differential against
 // the reference model, bit-exact determinism, core invariants under
 // fault-injected squash storms, the gadget security oracle, and panic/limit
-// capture. Failures are auto-shrunk to minimal repros and persisted in a
-// crash-safe corpus.
+// capture. Failures are auto-shrunk to minimal repros.
 //
 // Usage:
 //
-//	levfuzz -duration 10s -seed 1             # fixed-seed timed session
+//	levfuzz -count 400 -seed 1 -q             # the make ci smoke
 //	levfuzz -count 500 -profile gadget        # 500 gadget cases
-//	levfuzz -corpus corpus/                   # persist repros + resume journal
-//	levfuzz -campaign camp/ -count 2000       # coverage-guided campaign
+//	levfuzz -campaign camp/ -count 2000       # keep state and repros in camp/
+//	levfuzz -blind -count 300                 # no coverage feedback
 //	levfuzz -policies unsafe,fence,levioso    # restrict the policy matrix
 //	levfuzz -inject 'commit-stall:start=1000' # mutation-check a fault plan
 //
-// With -corpus, completed cases are journaled (fsync per entry): re-running
-// the identical invocation resumes where it stopped without re-executing
-// finished cases.
-//
-// With -campaign, levfuzz runs the coverage-guided tier instead: a
-// sequential corpus-evolving loop whose whole state (corpus, coverage map,
-// finding buckets) is rewritten atomically after every case, so killing it
-// at any point — including kill -9 — and rerunning the identical invocation
-// resumes exactly where it stopped. -blind disables the coverage feedback
-// (every case generated fresh), the control arm for coverage-growth
-// comparisons. Exit status: 0 clean, 1 findings, 2 usage.
+// Every invocation is a coverage-guided campaign (fuzz.Campaign). Cases are
+// admitted in epochs of eight: scheduled in index order, judged on -workers
+// goroutines, folded back in index order, and the whole state (corpus,
+// coverage map, finding buckets) is rewritten atomically at each epoch end.
+// The state file does not depend on -workers. With -campaign the state and
+// the shrunk repros live in that directory, so killing levfuzz at any point
+// — including kill -9 — and rerunning the identical invocation resumes at
+// the last epoch boundary. Without it the campaign runs in a temporary
+// directory removed on exit. -blind disables the coverage feedback (every
+// case generated fresh), the control arm for coverage-growth comparisons.
+// Exit status: 0 clean, 1 findings, 2 usage.
 package main
 
 import (
@@ -48,26 +47,23 @@ func main() {
 }
 
 func run() int {
-	seed := flag.Uint64("seed", 1, "session base seed")
-	duration := flag.Duration("duration", 0, "wall-clock bound for the session (0: run -count cases)")
+	seed := flag.Uint64("seed", 1, "campaign base seed")
+	duration := flag.Duration("duration", 0, "wall-clock bound for the campaign (0: run -count cases)")
 	count := flag.Int("count", 0, "number of cases (0 with -duration: unbounded)")
 	profileSpec := flag.String("profile", "", "comma-separated generation profiles (default: all; one of "+profileList()+")")
 	policySpec := flag.String("policies", "", "comma-separated policies to judge under (default: all registered)")
-	corpus := flag.String("corpus", "", "corpus directory for shrunk repros and the resume journal")
-	campaign := flag.String("campaign", "", "coverage-guided campaign directory (state file + repros); overrides -corpus")
-	blind := flag.Bool("blind", false, "with -campaign: disable coverage-guided mutation (every case fresh)")
-	workers := flag.Int("workers", 0, "parallel workers (default: GOMAXPROCS, capped at 8)")
+	campaign := flag.String("campaign", "", "campaign directory for the state file and repros (default: a temporary directory removed on exit)")
+	blind := flag.Bool("blind", false, "disable coverage-guided mutation (every case fresh)")
+	workers := flag.Int("workers", 0, "goroutines judging each epoch (default: GOMAXPROCS, capped at 8)")
 	maxCycles := flag.Uint64("max-cycles", 0, "cycle limit per core run (default 4M)")
 	deadline := flag.Duration("deadline", 0, "wall-clock bound per run (default 30s)")
 	inject := flag.String("inject", "", "fault plan, e.g. 'commit-stall:start=1000;delay-fill:extra=10'")
 	noShrink := flag.Bool("no-shrink", false, "persist findings without minimizing")
-	noMatrix := flag.Bool("no-matrix", false, "skip the once-per-session attack expectation matrix check")
 	quiet := flag.Bool("q", false, "suppress per-finding progress lines")
-	snapshot := flag.Duration("snapshot", 5*time.Second, "periodic throughput snapshot interval (0 disables)")
 	metrics := cli.RegisterMetrics(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() > 0 {
-		return cli.Usage("levfuzz [-seed N] [-duration D | -count N] [-profile p,..] [-policies p,..] [-corpus dir] [-inject spec]")
+		return cli.Usage("levfuzz [-seed N] [-duration D | -count N] [-profile p,..] [-policies p,..] [-campaign dir] [-blind] [-inject spec]")
 	}
 
 	profiles, err := fuzz.ParseProfiles(*profileSpec)
@@ -87,9 +83,7 @@ func run() int {
 		Count:     *count,
 		Duration:  *duration,
 		Workers:   *workers,
-		CorpusDir: *corpus,
 		NoShrink:  *noShrink,
-		NoMatrix:  *noMatrix,
 		Policies:  cli.SplitList(*policySpec),
 		MaxCycles: *maxCycles,
 		Deadline:  *deadline,
@@ -98,44 +92,39 @@ func run() int {
 	}
 	if !*quiet {
 		cfg.Log = os.Stderr
-		cfg.SnapshotEvery = *snapshot
 	}
 	defer func() { cli.DumpMetrics("levfuzz", *metrics) }()
 
-	// ^C finishes in-flight cases and reports what was found; with a corpus
-	// journal or a campaign directory the next identical invocation resumes
-	// from the interruption.
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-
-	if *campaign != "" {
-		sum, err := fuzz.Campaign(ctx, *campaign, cfg)
+	dir := *campaign
+	if dir == "" {
+		tmp, err := os.MkdirTemp("", "levfuzz-")
 		if err != nil {
 			return cli.Fail("levfuzz", err)
 		}
-		fmt.Print(renderCampaign(sum))
-		if sum.FindingCount > 0 {
-			fmt.Fprintf(os.Stderr, "levfuzz: %d finding(s)\n", sum.FindingCount)
-			return 1
-		}
-		return 0
+		defer os.RemoveAll(tmp)
+		dir = tmp
 	}
 
-	sum, err := fuzz.Run(ctx, cfg)
+	// ^C discards the epoch in flight and reports what was committed; with
+	// -campaign the next identical invocation resumes from there.
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer cancel()
+
+	sum, err := fuzz.Campaign(ctx, dir, cfg)
 	if err != nil {
 		return cli.Fail("levfuzz", err)
 	}
 	fmt.Print(render(sum))
-	if len(sum.Findings) > 0 {
-		fmt.Fprintf(os.Stderr, "levfuzz: %d finding(s)\n", len(sum.Findings))
+	if sum.FindingCount > 0 {
+		fmt.Fprintf(os.Stderr, "levfuzz: %d finding(s)\n", sum.FindingCount)
 		return 1
 	}
 	return 0
 }
 
-// renderCampaign formats a campaign summary: headline counters plus one line
-// per finding class with its repro files.
-func renderCampaign(s *fuzz.CampaignSummary) string {
+// render formats a campaign summary: headline counters plus one line per
+// finding class with its repro files.
+func render(s *fuzz.CampaignSummary) string {
 	t := stats.NewTable("fuzz campaign", "metric", "value")
 	t.Add("cases executed", fmt.Sprint(s.Cases))
 	t.Add("cases resumed", fmt.Sprint(s.Resumed))
@@ -151,43 +140,6 @@ func renderCampaign(s *fuzz.CampaignSummary) string {
 		out += fmt.Sprintf("class %s/%s/%s: %d (first at case %06d)", b.Oracle, b.Policy, b.Kind, b.Count, b.FirstIndex)
 		if len(b.Repros) > 0 {
 			out += fmt.Sprintf(" [repros %v]", b.Repros)
-		}
-		out += "\n"
-	}
-	return out
-}
-
-// render formats the session summary: the headline counters, the per-oracle
-// breakdown when anything fired, and one line per finding with its repro.
-func render(s *fuzz.Summary) string {
-	t := stats.NewTable("fuzz session", "metric", "value")
-	t.Add("cases judged", fmt.Sprint(s.Cases))
-	t.Add("cases resumed", fmt.Sprint(s.Resumed))
-	t.Add("cases skipped", fmt.Sprint(s.Skipped))
-	t.Add("executions", fmt.Sprint(s.Execs))
-	t.Add("execs/sec", fmt.Sprintf("%.0f", s.ExecsPerSec()))
-	t.Add("elapsed", s.Elapsed.Round(time.Millisecond).String())
-	t.Add("findings", fmt.Sprint(len(s.Findings)))
-	t.Add("gadget leaks (unsafe baseline)", fmt.Sprint(s.GadgetLeaksUnsafe))
-	if s.ShrinkEvals > 0 {
-		t.Add("shrink evals", fmt.Sprint(s.ShrinkEvals))
-		t.Add("shrink ratio", fmt.Sprintf("%.0f%% (%d -> %d insts)", 100*s.ShrinkRatio(), s.ShrunkFrom, s.ShrunkTo))
-	}
-	out := t.String()
-
-	if len(s.ByOracle) > 0 {
-		bt := stats.NewTable("findings by oracle", "oracle", "count")
-		for _, o := range []string{"differential", "determinism", "invariants", "security", "limits", "panic", "build", "generator"} {
-			if n := s.ByOracle[o]; n > 0 {
-				bt.Add(o, fmt.Sprint(n))
-			}
-		}
-		out += "\n" + bt.String()
-	}
-	for _, r := range s.Findings {
-		out += fmt.Sprintf("finding %s: %s", r.Name, r.Finding)
-		if r.Repro != "" {
-			out += " [repro " + r.Repro + "]"
 		}
 		out += "\n"
 	}

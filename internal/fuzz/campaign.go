@@ -1,13 +1,24 @@
+// Package fuzz is the differential fuzzing subsystem: a seeded program
+// generator over the LEV64 ISA, an oracle stack that judges every generated
+// program under every registered secure-speculation policy (architectural
+// differential vs the reference model, bit-exact determinism, core
+// invariants under fault-injected squash storms, the gadget security oracle,
+// and panic/limit capture through simerr), an auto-shrinker that minimizes
+// failures to small repros, and one driver, Campaign: a coverage-guided,
+// resumable loop whose whole state lives in one atomically rewritten file.
 package fuzz
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime/debug"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"levioso/internal/cpu"
@@ -16,32 +27,47 @@ import (
 	"levioso/internal/simerr"
 )
 
-// A campaign is the coverage-guided tier above Run: a sequential, resumable
-// loop in which every case is either generated fresh or mutated from a
-// corpus of programs that previously reached new machine behavior. Each case
-// runs with a fresh cpu.CoverageSink; the union of the signatures of all its
-// oracle runs is compared against the campaign's global coverage map, and a
-// case that lights new bits joins the mutation corpus. After every case the
-// whole campaign state — corpus, coverage map, finding buckets, next index —
-// is rewritten atomically (journal.WriteAtomic), so a kill -9 at any point
-// loses at most the in-flight case and a rerun resumes exactly where it
-// stopped, replaying no completed case.
+// A campaign is a resumable loop in which every case is either generated
+// fresh or mutated from a corpus of programs that previously reached new
+// machine behavior. Each case runs with a fresh cpu.CoverageSink; the union
+// of the signatures of all its oracle runs is compared against the
+// campaign's global coverage map, and a case that lights new bits joins the
+// mutation corpus.
 //
-// The campaign is deliberately sequential: corpus evolution feeds back into
-// case construction, so a deterministic schedule requires that case i sees
-// exactly the corpus left by cases 0..i-1. That is also what makes resume
-// bit-identical to an uninterrupted run.
+// Cases are admitted in epochs of epochSize. At an epoch's start its cases
+// are scheduled in index order, on the campaign goroutine, from the corpus
+// as it stands at that moment; they are judged concurrently on up to
+// Workers goroutines; and their results are folded into the coverage map,
+// the corpus and the finding buckets in index order as each prefix of the
+// epoch completes. The whole campaign state is rewritten atomically
+// (journal.WriteAtomic) at every epoch end. Every decision therefore
+// depends on the seed, the case index and the state at the epoch's start,
+// never on Workers or on which goroutine finished first, which gives:
+//
+//   - the state file is byte-identical for every Workers value;
+//   - a kill -9 at any instant loses at most the epoch in flight, and a
+//     rerun resumes at an epoch boundary, converging to the state an
+//     uninterrupted run writes (at most epochSize-1 judged cases re-run,
+//     epochSize if the kill lands inside the epoch-end write);
+//   - Progress may run ahead of the state file by less than one epoch.
+
+// epochSize is K, the number of cases one epoch admits. The schedule, and
+// with it the state file, depends on it, so it is a constant rather than an
+// option, and deliberately independent of Workers.
+const epochSize = 8
 
 // CampaignStateName is the state file inside a campaign directory.
 const CampaignStateName = "campaign.json"
 
-// campaignStateVersion is the on-disk state format version.
-const campaignStateVersion = 1
+// campaignStateVersion is the on-disk state format version. Version 1 was
+// written under per-case admission and cannot be resumed under epochs.
+const campaignStateVersion = 2
 
 // Progress is the running-totals snapshot handed to Options.Progress after
-// every committed case (the levserve /v1/fuzz status endpoint serves these).
+// every folded case (the levserve /v1/fuzz status endpoint serves these).
+// It may run ahead of the state file by less than one epoch.
 type Progress struct {
-	Index        int `json:"index"`         // cases committed so far (absolute)
+	Index        int `json:"index"`         // cases folded so far (absolute)
 	Count        int `json:"count"`         // campaign target (0: unbounded)
 	Cases        int `json:"cases"`         // cases executed this invocation
 	Resumed      int `json:"resumed"`       // cases inherited from the state file
@@ -69,7 +95,8 @@ type FindingBucket struct {
 // repros of a failure class are diagnostic, the hundredth is disk usage.
 const maxBucketRepros = 8
 
-// CampaignSummary is one Campaign invocation's outcome.
+// CampaignSummary is one Campaign invocation's outcome, taken from the
+// state file as it was last persisted.
 type CampaignSummary struct {
 	Cases        int // cases executed this invocation
 	Resumed      int // cases inherited from the state file
@@ -83,20 +110,28 @@ type CampaignSummary struct {
 	Elapsed      time.Duration
 }
 
+// campaignCounts are the state's running counters; an invocation's summary
+// is their difference from the counts it resumed.
+type campaignCounts struct {
+	NextIndex int `json:"next_index"`
+	Skipped   int `json:"skipped"`
+	Execs     int `json:"execs"`
+	Mutated   int `json:"mutated"`
+}
+
 // campaignState is the on-disk campaign snapshot. Everything a resumed
 // invocation needs to reproduce the interrupted one's decisions is here;
 // nothing else is (per-case seeds re-derive from Seed via CaseSeed).
 type campaignState struct {
-	Version   int                       `json:"version"`
-	Seed      uint64                    `json:"seed"`
-	Digest    string                    `json:"digest"` // option digest; a resume must match
-	NextIndex int                       `json:"next_index"`
-	Skipped   int                       `json:"skipped"`
-	Execs     int                       `json:"execs"`
-	Mutated   int                       `json:"mutated"`
-	Coverage  string                    `json:"coverage"` // global map, base64
-	Corpus    []*corpusEntry            `json:"corpus,omitempty"`
-	Findings  map[string]*FindingBucket `json:"findings,omitempty"`
+	Version int    `json:"version"`
+	Seed    uint64 `json:"seed"`
+	Digest  string `json:"digest"` // option digest; a resume must match
+	campaignCounts
+	Coverage string                    `json:"coverage"` // global map, base64
+	Corpus   []*corpusEntry            `json:"corpus,omitempty"`
+	Findings map[string]*FindingBucket `json:"findings,omitempty"`
+
+	global *cpu.CoverageSink // Coverage, decoded; not persisted directly
 }
 
 func (st *campaignState) findingCount() int {
@@ -107,21 +142,37 @@ func (st *campaignState) findingCount() int {
 	return n
 }
 
+// buckets returns the finding buckets sorted by class key.
+func (st *campaignState) buckets() []*FindingBucket {
+	keys := make([]string, 0, len(st.Findings))
+	for k := range st.Findings {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]*FindingBucket, 0, len(keys))
+	for _, k := range keys {
+		out = append(out, st.Findings[k])
+	}
+	return out
+}
+
 // optionsDigest pins every option that shapes per-case verdicts. A campaign
 // directory resumed under a different digest would silently mix verdict
 // streams, so Campaign refuses it. Count is deliberately excluded: raising
 // it extends a finished campaign without changing any completed case.
+// Workers is excluded because it shapes nothing.
 func optionsDigest(o Options) string {
 	return fmt.Sprintf("v%d profiles=%v policies=%v maxcycles=%d refmax=%d nostorm=%t noshrink=%t shrinkbudget=%d blind=%t faults=%v",
 		campaignStateVersion, o.Profiles, o.Policies, o.MaxCycles, o.RefMaxInsts,
 		o.NoStorm, o.NoShrink, o.ShrinkBudget, o.Blind, o.Faults)
 }
 
-// Campaign runs (or resumes) the coverage-guided campaign in dir until Count
-// cases are committed, the Duration elapses, or the context is canceled.
-// Interrupted in-flight cases are never committed, so stopping a campaign at
-// any point — including kill -9 mid-write — and rerunning the identical
-// invocation yields a state file bit-identical to an uninterrupted run's.
+// Campaign runs (or resumes) the campaign in dir until Count cases are
+// committed, the Duration elapses, or the context is canceled. An epoch
+// with a case cut short by cancellation is discarded whole, so stopping a
+// campaign at any point — including kill -9 mid-write — and rerunning the
+// identical invocation yields a state file bit-identical to an
+// uninterrupted run's.
 func Campaign(ctx context.Context, dir string, opt Options) (*CampaignSummary, error) {
 	if err := opt.Normalize(); err != nil {
 		return nil, err
@@ -135,10 +186,6 @@ func Campaign(ctx context.Context, dir string, opt Options) (*CampaignSummary, e
 	if err != nil {
 		return nil, err
 	}
-	global, err := decodeCoverage(st.Coverage)
-	if err != nil {
-		return nil, err
-	}
 
 	if opt.Duration > 0 {
 		var cancel context.CancelFunc
@@ -148,168 +195,231 @@ func Campaign(ctx context.Context, dir string, opt Options) (*CampaignSummary, e
 
 	start := time.Now()
 	met := newCampaignMetrics(ctx)
-	met.covBits.Set(int64(global.Count()))
+	met.covBits.Set(int64(st.global.Count()))
 	met.corpus.Set(int64(len(st.Corpus)))
 
-	sum := &CampaignSummary{Resumed: st.NextIndex}
-	for idx := st.NextIndex; opt.Count == 0 || idx < opt.Count; idx++ {
-		if ctx.Err() != nil {
+	base := st.campaignCounts
+	for ctx.Err() == nil && (opt.Count == 0 || st.NextIndex < opt.Count) {
+		prev, prevFindings := st.campaignCounts, st.findingCount()
+		if !runEpoch(ctx, dir, opt, st, base) {
+			// The epoch's in-memory folds are void: fall back to the last
+			// persisted state, which the resumed campaign starts from.
+			if st, err = loadCampaignState(statePath, opt.Seed, digest); err != nil {
+				return nil, err
+			}
 			break
 		}
-
-		cov := new(cpu.CoverageSink)
-		copt := opt
-		copt.Coverage = cov
-		c, parent, verdict, shrink := judgeCampaignCase(ctx, copt, idx, st.Corpus)
-
-		// A case cut short by cancellation or the wall clock is not a
-		// verdict: leave it uncommitted so the resumed campaign re-runs it in
-		// full. (This is the determinism guarantee — a partially-judged case
-		// must never contaminate the corpus or the coverage map.)
-		if ctx.Err() != nil {
-			break
-		}
-
-		if parent >= 0 {
-			mutantFindings(&verdict)
-		}
-
-		// Persist the (shrunk) repro for any finding, as Run does.
-		var reproName string
-		if len(verdict.Findings) > 0 {
-			final, findings, orig := c, verdict.Findings, 0
-			if shrink != nil {
-				final, findings, orig = shrink.Case, shrink.Findings, shrink.OrigInsts
-			}
-			if final != nil {
-				if r, rerr := NewRepro(final, opt.Policies, findings, orig); rerr == nil {
-					if _, werr := r.Write(dir); werr == nil {
-						reproName = r.FileName()
-					}
-				}
-			}
-		}
-
-		// Coverage accounting and corpus admission. Gadget cases contribute
-		// to the map but never to the mutation corpus (see corpusEntry).
-		fresh := newBitCount(global, cov)
-		if fresh > 0 && c != nil && c.Profile != ProfileGadget {
-			img, merr := c.Prog.MarshalBinary()
-			if merr == nil {
-				st.Corpus = append(st.Corpus, &corpusEntry{
-					Index: idx, Parent: parent, Profile: c.Profile,
-					Binary: img, NewBits: fresh, Insts: len(c.Prog.Text),
-				})
-			}
-		}
-		global.Or(cov)
-
-		for _, f := range verdict.Findings {
-			key := bucketKey(f)
-			b := st.Findings[key]
-			if b == nil {
-				b = &FindingBucket{Oracle: f.Oracle, Policy: f.Policy, Kind: f.Kind, FirstIndex: idx, Example: f.Detail}
-				if st.Findings == nil {
-					st.Findings = map[string]*FindingBucket{}
-				}
-				st.Findings[key] = b
-			}
-			b.Count++
-			if reproName != "" && len(b.Repros) < maxBucketRepros &&
-				(len(b.Repros) == 0 || b.Repros[len(b.Repros)-1] != reproName) {
-				b.Repros = append(b.Repros, reproName)
-			}
-			logf(opt.Log, "fuzz: campaign %06d: %s", idx, f)
-		}
-
-		execs := verdict.Execs
-		if shrink != nil {
-			execs += shrink.Evals
-		}
-		st.NextIndex = idx + 1
-		st.Execs += execs
-		if verdict.Skipped {
-			st.Skipped++
-		}
-		if parent >= 0 {
-			st.Mutated++
-		}
-		st.Coverage = encodeCoverage(global)
+		st.Coverage = encodeCoverage(st.global)
 		if err := saveCampaignState(statePath, st); err != nil {
 			return nil, err
 		}
 
-		sum.Cases++
-		sum.Execs += execs
-		if verdict.Skipped {
-			sum.Skipped++
-		}
-		if parent >= 0 {
-			sum.Mutated++
-		}
-
-		met.cases.Inc()
-		met.execs.Add(uint64(execs))
-		met.findings.Add(uint64(len(verdict.Findings)))
-		if parent >= 0 {
-			met.mutated.Inc()
-		}
-		met.covBits.Set(int64(global.Count()))
+		met.cases.Add(uint64(st.NextIndex - prev.NextIndex))
+		met.execs.Add(uint64(st.Execs - prev.Execs))
+		met.mutated.Add(uint64(st.Mutated - prev.Mutated))
+		met.findings.Add(uint64(st.findingCount() - prevFindings))
+		met.covBits.Set(int64(st.global.Count()))
 		met.corpus.Set(int64(len(st.Corpus)))
+	}
 
+	return &CampaignSummary{
+		Cases:        st.NextIndex - base.NextIndex,
+		Resumed:      base.NextIndex,
+		Skipped:      st.Skipped - base.Skipped,
+		Execs:        st.Execs - base.Execs,
+		Mutated:      st.Mutated - base.Mutated,
+		CoverageBits: st.global.Count(),
+		CorpusSize:   len(st.Corpus),
+		FindingCount: st.findingCount(),
+		Buckets:      st.buckets(),
+		Elapsed:      time.Since(start),
+	}, nil
+}
+
+// epochCase is one case of an epoch: scheduled on the campaign goroutine,
+// judged on a worker, folded back on the campaign goroutine.
+type epochCase struct {
+	idx     int
+	c       *Case
+	parent  int // case index it was mutated from (-1: fresh)
+	verdict Verdict
+	shrink  *ShrinkResult
+	cov     cpu.CoverageSink
+	cut     bool          // the context was canceled by the time judging ended
+	done    chan struct{} // closed once judged
+}
+
+// runEpoch schedules, judges and folds the epoch starting at st.NextIndex.
+// Epochs are aligned to multiples of epochSize and end early at Count. It
+// reports false, leaving st half-folded, when a case was cut short.
+func runEpoch(ctx context.Context, dir string, opt Options, st *campaignState, base campaignCounts) bool {
+	first := st.NextIndex
+	end := (first/epochSize + 1) * epochSize
+	if opt.Count > 0 && end > opt.Count {
+		end = opt.Count
+	}
+	cases := make([]*epochCase, end-first)
+	for i := range cases {
+		ec := &epochCase{idx: first + i, parent: -1, done: make(chan struct{})}
+		ec.schedule(opt, st.Corpus)
+		cases[i] = ec
+	}
+
+	// Workers take cases lowest index first, so the fold below can advance
+	// as soon as the epoch's first case is judged.
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for w := 0; w < min(opt.Workers, len(cases)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(cases); i = int(next.Add(1)) - 1 {
+				ec := cases[i]
+				if ctx.Err() == nil {
+					ec.judge(ctx, opt)
+				}
+				ec.cut = ctx.Err() != nil
+				close(ec.done)
+			}
+		}()
+	}
+
+	for _, ec := range cases {
+		<-ec.done
+		if ec.cut {
+			return false
+		}
+		st.fold(dir, opt, ec)
 		if opt.Progress != nil {
 			opt.Progress(Progress{
 				Index: st.NextIndex, Count: opt.Count,
-				Cases: sum.Cases, Resumed: sum.Resumed, Skipped: sum.Skipped,
-				Execs: sum.Execs, Mutated: sum.Mutated,
-				CoverageBits: global.Count(), Corpus: len(st.Corpus),
+				Cases: st.NextIndex - base.NextIndex, Resumed: base.NextIndex,
+				Skipped: st.Skipped - base.Skipped, Execs: st.Execs - base.Execs,
+				Mutated:      st.Mutated - base.Mutated,
+				CoverageBits: st.global.Count(), Corpus: len(st.Corpus),
 				Findings: st.findingCount(),
 			})
 		}
 	}
-
-	sum.CoverageBits = global.Count()
-	sum.CorpusSize = len(st.Corpus)
-	sum.FindingCount = st.findingCount()
-	keys := make([]string, 0, len(st.Findings))
-	for k := range st.Findings {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		sum.Buckets = append(sum.Buckets, st.Findings[k])
-	}
-	sum.Elapsed = time.Since(start)
-	return sum, nil
+	return true
 }
 
-// judgeCampaignCase builds and judges one campaign case with panic
-// isolation, shrinking the first finding when configured. The shrinker runs
-// without the coverage sink: the case's signature reflects its judging runs,
-// not however many shrink candidates happened to execute.
-func judgeCampaignCase(ctx context.Context, opt Options, idx int, corpus []*corpusEntry) (c *Case, parent int, verdict Verdict, shrink *ShrinkResult) {
-	parent = -1
-	defer func() {
-		if r := recover(); r != nil {
-			verdict.add(Finding{Oracle: OraclePanic, Kind: "campaign",
-				Detail: fmt.Sprintf("%v\n%s", r, debug.Stack())})
-		}
-	}()
-
-	c, parent, err := scheduleCase(opt, idx, corpus)
+// schedule builds the case (scheduleCase) with panic isolation. It runs on
+// the campaign goroutine: it reads the corpus and bumps its Picks.
+func (ec *epochCase) schedule(opt Options, corpus []*corpusEntry) {
+	defer ec.recoverPanic()
+	c, parent, err := scheduleCase(opt, ec.idx, corpus)
+	ec.parent = parent
 	if err != nil {
-		verdict.add(Finding{Oracle: OracleGenerator, Kind: "generate", Detail: err.Error()})
-		return nil, parent, verdict, nil
+		ec.verdict.add(Finding{Oracle: OracleGenerator, Kind: "generate", Detail: err.Error()})
+		return
+	}
+	ec.c = c
+}
+
+// judge runs the oracle stack over the scheduled case with panic isolation,
+// shrinking the first finding when configured. The shrinker runs without the
+// coverage sink: the case's signature reflects its judging runs, not however
+// many shrink candidates happened to execute.
+func (ec *epochCase) judge(ctx context.Context, opt Options) {
+	defer ec.recoverPanic()
+	if ec.c == nil {
+		return
+	}
+	opt.Coverage = &ec.cov
+	ec.verdict = RunOracles(ctx, ec.c, opt)
+	if len(ec.verdict.Findings) == 0 || opt.NoShrink || ctx.Err() != nil {
+		return
+	}
+	opt.Coverage = nil
+	res := Shrink(ctx, ec.c, ec.verdict.Findings[0], opt)
+	ec.shrink = &res
+}
+
+func (ec *epochCase) recoverPanic() {
+	if r := recover(); r != nil {
+		ec.verdict.add(Finding{Oracle: OraclePanic, Kind: "campaign",
+			Detail: fmt.Sprintf("%v\n%s", r, debug.Stack())})
+	}
+}
+
+// fold admits one judged case into the state: repro, coverage map, corpus,
+// finding buckets and counters.
+func (st *campaignState) fold(dir string, opt Options, ec *epochCase) {
+	if ec.parent >= 0 {
+		mutantFindings(&ec.verdict)
+	}
+	reproName := writeRepro(dir, opt, ec)
+
+	// Coverage accounting and corpus admission. Gadget cases contribute
+	// to the map but never to the mutation corpus (see corpusEntry).
+	c := ec.c
+	fresh := newBitCount(st.global, &ec.cov)
+	if fresh > 0 && c != nil && c.Profile != ProfileGadget {
+		img, merr := c.Prog.MarshalBinary()
+		if merr == nil {
+			st.Corpus = append(st.Corpus, &corpusEntry{
+				Index: ec.idx, Parent: ec.parent, Profile: c.Profile,
+				Binary: img, NewBits: fresh, Insts: len(c.Prog.Text),
+			})
+		}
+	}
+	st.global.Or(&ec.cov)
+
+	for _, f := range ec.verdict.Findings {
+		key := bucketKey(f)
+		b := st.Findings[key]
+		if b == nil {
+			b = &FindingBucket{Oracle: f.Oracle, Policy: f.Policy, Kind: f.Kind, FirstIndex: ec.idx, Example: f.Detail}
+			if st.Findings == nil {
+				st.Findings = map[string]*FindingBucket{}
+			}
+			st.Findings[key] = b
+		}
+		b.Count++
+		if reproName != "" && len(b.Repros) < maxBucketRepros &&
+			(len(b.Repros) == 0 || b.Repros[len(b.Repros)-1] != reproName) {
+			b.Repros = append(b.Repros, reproName)
+		}
+		logf(opt.Log, "fuzz: campaign %06d: %s", ec.idx, f)
 	}
 
-	verdict = RunOracles(ctx, c, opt)
-	if len(verdict.Findings) == 0 || opt.NoShrink || ctx.Err() != nil {
-		return c, parent, verdict, nil
+	st.NextIndex = ec.idx + 1
+	st.Execs += ec.verdict.Execs
+	if ec.shrink != nil {
+		st.Execs += ec.shrink.Evals
 	}
-	sopt := opt
-	sopt.Coverage = nil
-	res := Shrink(ctx, c, verdict.Findings[0], sopt)
-	return c, parent, verdict, &res
+	if ec.verdict.Skipped {
+		st.Skipped++
+	}
+	if ec.parent >= 0 {
+		st.Mutated++
+	}
+}
+
+// writeRepro persists the (shrunk) repro of a case with findings and
+// returns its file name; a failed write is logged and yields "".
+func writeRepro(dir string, opt Options, ec *epochCase) string {
+	if len(ec.verdict.Findings) == 0 {
+		return ""
+	}
+	final, findings, orig := ec.c, ec.verdict.Findings, 0
+	if ec.shrink != nil {
+		final, findings, orig = ec.shrink.Case, ec.shrink.Findings, ec.shrink.OrigInsts
+	}
+	if final == nil {
+		return ""
+	}
+	r, err := NewRepro(final, opt.Policies, findings, orig)
+	if err == nil {
+		_, err = r.Write(dir)
+	}
+	if err != nil {
+		logf(opt.Log, "fuzz: campaign %06d: repro write failed: %v", ec.idx, err)
+		return ""
+	}
+	return r.FileName()
 }
 
 // mutantFindings drops generator-oracle findings from a mutated case's
@@ -349,38 +459,35 @@ func LoadFindings(dir string) ([]*FindingBucket, error) {
 	if err := json.Unmarshal(b, st); err != nil {
 		return nil, &simerr.RunError{Kind: simerr.KindBuild, Detail: "campaign state", Err: err}
 	}
-	keys := make([]string, 0, len(st.Findings))
-	for k := range st.Findings {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]*FindingBucket, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, st.Findings[k])
-	}
-	return out, nil
+	return st.buckets(), nil
 }
 
+// loadCampaignState reads the state file (a fresh state when there is none)
+// and decodes its coverage map.
 func loadCampaignState(path string, seed uint64, digest string) (*campaignState, error) {
-	b, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return &campaignState{Version: campaignStateVersion, Seed: seed, Digest: digest}, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("fuzz: campaign state: %w", err)
-	}
 	st := new(campaignState)
-	if err := json.Unmarshal(b, st); err != nil {
-		return nil, &simerr.RunError{Kind: simerr.KindBuild, Detail: "campaign state " + path, Err: err}
+	b, err := os.ReadFile(path)
+	switch {
+	case os.IsNotExist(err):
+		st.Version, st.Seed, st.Digest = campaignStateVersion, seed, digest
+	case err != nil:
+		return nil, fmt.Errorf("fuzz: campaign state: %w", err)
+	default:
+		if err := json.Unmarshal(b, st); err != nil {
+			return nil, &simerr.RunError{Kind: simerr.KindBuild, Detail: "campaign state " + path, Err: err}
+		}
+		if st.Version != campaignStateVersion {
+			return nil, simerr.New(simerr.KindBuild, "fuzz: campaign state %s: version %d, want %d", path, st.Version, campaignStateVersion)
+		}
+		if st.Seed != seed {
+			return nil, simerr.New(simerr.KindBuild, "fuzz: campaign state %s: seed %#x, resumed with %#x", path, st.Seed, seed)
+		}
+		if st.Digest != digest {
+			return nil, simerr.New(simerr.KindBuild, "fuzz: campaign state %s: options changed since the campaign started (state %q, now %q)", path, st.Digest, digest)
+		}
 	}
-	if st.Version != campaignStateVersion {
-		return nil, simerr.New(simerr.KindBuild, "fuzz: campaign state %s: version %d, want %d", path, st.Version, campaignStateVersion)
-	}
-	if st.Seed != seed {
-		return nil, simerr.New(simerr.KindBuild, "fuzz: campaign state %s: seed %#x, resumed with %#x", path, st.Seed, seed)
-	}
-	if st.Digest != digest {
-		return nil, simerr.New(simerr.KindBuild, "fuzz: campaign state %s: options changed since the campaign started (state %q, now %q)", path, st.Digest, digest)
+	if st.global, err = decodeCoverage(st.Coverage); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -396,8 +503,9 @@ func saveCampaignState(path string, st *campaignState) error {
 	return journal.WriteAtomic(path, append(b, '\n'))
 }
 
-// campaignMetrics is the campaign's obs instrument set (registry from ctx,
-// like newSessionMetrics).
+// campaignMetrics is the campaign's obs instrument set; the registry comes
+// from ctx (levfuzz uses the process default; tests and levperf can isolate
+// one via obs.WithRegistry). Counters advance as each epoch is committed.
 type campaignMetrics struct {
 	cases    *obs.Counter
 	execs    *obs.Counter
@@ -416,5 +524,11 @@ func newCampaignMetrics(ctx context.Context) *campaignMetrics {
 		findings: reg.Counter("fuzz_campaign_findings_total", "campaign findings recorded"),
 		covBits:  reg.Gauge("fuzz_campaign_coverage_bits", "global coverage map population"),
 		corpus:   reg.Gauge("fuzz_campaign_corpus_size", "mutation corpus size"),
+	}
+}
+
+func logf(w io.Writer, format string, args ...any) {
+	if w != nil {
+		fmt.Fprintf(w, format+"\n", args...)
 	}
 }

@@ -1,11 +1,14 @@
 package fuzz
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,7 +41,8 @@ func readState(t *testing.T, dir string) []byte {
 
 // The determinism guarantee: a campaign canceled mid-run and resumed yields
 // a state file bit-identical to an uninterrupted run's — same corpus, same
-// coverage map, same finding buckets, same counters.
+// coverage map, same finding buckets, same counters. A cancellation inside
+// an epoch discards the whole epoch; one at an epoch's end keeps it.
 func TestCampaignResumeDeterminism(t *testing.T) {
 	opt := campaignTestOptions()
 
@@ -51,32 +55,111 @@ func TestCampaignResumeDeterminism(t *testing.T) {
 		t.Fatalf("uninterrupted: cases=%d resumed=%d", sumA.Cases, sumA.Resumed)
 	}
 
-	// Interrupt after 5 committed cases, then resume.
-	split := t.TempDir()
-	ctx, cancel := context.WithCancel(context.Background())
-	iopt := opt
-	iopt.Progress = func(p Progress) {
-		if p.Index >= 5 {
-			cancel()
+	// interrupt runs the campaign in dir, cancels it from Progress once
+	// index at is folded, and returns how many cases it left committed.
+	interrupt := func(dir string, at int) int {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		iopt := opt
+		iopt.Progress = func(p Progress) {
+			if p.Index >= at {
+				cancel()
+			}
+		}
+		sum, err := Campaign(ctx, dir, iopt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sum.Resumed + sum.Cases
+	}
+	resume := func(dir string, committed int) {
+		sum, err := Campaign(context.Background(), dir, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Resumed != committed || sum.Cases != opt.Count-committed {
+			t.Errorf("resumed run: cases=%d resumed=%d, want %d/%d", sum.Cases, sum.Resumed, opt.Count-committed, committed)
+		}
+		if a, b := readState(t, full), readState(t, dir); string(a) != string(b) {
+			t.Errorf("resumed state diverged from uninterrupted state:\n--- uninterrupted ---\n%s\n--- resumed ---\n%s", a, b)
+		}
+		if sumA.CoverageBits != sum.CoverageBits || sumA.CorpusSize != sum.CorpusSize {
+			t.Errorf("coverage %d/%d, corpus %d/%d across resume",
+				sumA.CoverageBits, sum.CoverageBits, sumA.CorpusSize, sum.CorpusSize)
 		}
 	}
-	if _, err := Campaign(ctx, split, iopt); err != nil {
-		t.Fatal(err)
-	}
-	sumB, err := Campaign(context.Background(), split, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sumB.Resumed != 5 || sumB.Cases != opt.Count-5 {
-		t.Errorf("resumed run: cases=%d resumed=%d, want %d/5", sumB.Cases, sumB.Resumed, opt.Count-5)
-	}
 
-	if a, b := readState(t, full), readState(t, split); string(a) != string(b) {
-		t.Errorf("resumed state diverged from uninterrupted state:\n--- uninterrupted ---\n%s\n--- resumed ---\n%s", a, b)
+	// Cancel at the first epoch's end: every case of it is judged before
+	// its last fold, so the epoch is committed and the resume starts at the
+	// boundary.
+	split := t.TempDir()
+	if got := interrupt(split, epochSize); got != epochSize {
+		t.Errorf("canceled at the first epoch's end: %d cases committed, want %d", got, epochSize)
 	}
-	if sumA.CoverageBits != sumB.CoverageBits || sumA.CorpusSize != sumB.CorpusSize {
-		t.Errorf("coverage %d/%d, corpus %d/%d across resume",
-			sumA.CoverageBits, sumB.CoverageBits, sumA.CorpusSize, sumB.CorpusSize)
+	resume(split, epochSize)
+
+	// Cancel after the first fold. The rest of the epoch is normally still
+	// being judged, so the epoch is discarded whole and the summary comes
+	// from the (absent) state file; if the scheduler let every case finish
+	// before the fold ran, the epoch is committed whole. Nothing in between
+	// is ever committed.
+	cut := t.TempDir()
+	got := interrupt(cut, 1)
+	t.Logf("canceled inside the first epoch: %d cases committed", got)
+	switch got {
+	case 0:
+		if _, err := os.Stat(filepath.Join(cut, CampaignStateName)); !os.IsNotExist(err) {
+			t.Errorf("a discarded first epoch left a state file: %v", err)
+		}
+	case epochSize:
+	default:
+		t.Errorf("canceled inside the first epoch: %d cases committed, want 0 or %d", got, epochSize)
+	}
+	resume(cut, got)
+}
+
+// Workers is throughput only: the same seed judged on 1, 2 and 8
+// goroutines writes byte-identical state files.
+func TestCampaignWorkersIdentical(t *testing.T) {
+	opt := campaignTestOptions()
+	opt.Count = 2*epochSize + epochSize/2 // a truncated last epoch too
+	var want []byte
+	for _, w := range []int{1, 2, 8} {
+		wopt := opt
+		wopt.Workers = w
+		dir := t.TempDir()
+		sum, err := Campaign(context.Background(), dir, wopt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Mutated == 0 {
+			t.Errorf("workers=%d: no mutated case; the comparison is vacuous", w)
+		}
+		got := readState(t, dir)
+		if want == nil {
+			want = got
+		} else if string(got) != string(want) {
+			t.Errorf("workers=%d: state differs from workers=1:\n--- workers=1 ---\n%s\n--- workers=%d ---\n%s", w, want, w, got)
+		}
+	}
+}
+
+// A version-1 state file was written under per-case admission; resuming it
+// under epochs would diverge, so it is refused even when its seed and
+// options match.
+func TestCampaignRefusesV1State(t *testing.T) {
+	opt := campaignTestOptions()
+	if err := opt.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	digest := strings.Replace(optionsDigest(opt), fmt.Sprintf("v%d ", campaignStateVersion), "v1 ", 1)
+	v1 := fmt.Sprintf(`{"version":1,"seed":%d,"digest":%q,"next_index":5}`, opt.Seed, digest)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, CampaignStateName), []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Campaign(context.Background(), dir, opt); simerr.KindOf(err) != simerr.KindBuild {
+		t.Errorf("v1 state accepted: %v", err)
 	}
 }
 
@@ -128,9 +211,10 @@ func TestCampaignKillResumeHelper(t *testing.T) {
 }
 
 // Crash-safety under a real kill -9: the state file is rewritten atomically
-// after every case, so a SIGKILL at an arbitrary instant loses at most the
-// in-flight case. The resumed campaign re-executes nothing committed and
-// converges to the exact state an uninterrupted run produces.
+// at every epoch end, so a SIGKILL at an arbitrary instant loses at most the
+// epoch in flight. The resumed campaign starts at an epoch boundary,
+// re-executes nothing committed and converges to the exact state an
+// uninterrupted run produces.
 func TestCampaignKillResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a subprocess campaign")
@@ -146,7 +230,7 @@ func TestCampaignKillResume(t *testing.T) {
 	}
 	defer cmd.Process.Kill()
 
-	// Wait for at least 3 committed cases, then kill -9.
+	// Wait for the first committed epoch, then kill -9.
 	statePath := filepath.Join(dir, CampaignStateName)
 	deadline := time.Now().Add(60 * time.Second)
 	killedAt := -1
@@ -155,7 +239,7 @@ func TestCampaignKillResume(t *testing.T) {
 			var st struct {
 				NextIndex int `json:"next_index"`
 			}
-			if json.Unmarshal(b, &st) == nil && st.NextIndex >= 3 {
+			if json.Unmarshal(b, &st) == nil && st.NextIndex >= epochSize {
 				killedAt = st.NextIndex
 				break
 			}
@@ -176,9 +260,12 @@ func TestCampaignKillResume(t *testing.T) {
 	}
 	// No committed case re-executes: everything the subprocess persisted is
 	// resumed, only the remainder runs. (The subprocess may have committed
-	// more cases after our last poll, so >= killedAt.)
+	// more epochs after our last poll, so >= killedAt.)
 	if sum.Resumed < killedAt {
 		t.Errorf("resumed %d cases, subprocess had committed >= %d", sum.Resumed, killedAt)
+	}
+	if sum.Resumed%epochSize != 0 {
+		t.Errorf("resumed at %d, not an epoch boundary", sum.Resumed)
 	}
 	if sum.Resumed+sum.Cases != opt.Count {
 		t.Errorf("resumed %d + executed %d != count %d", sum.Resumed, sum.Cases, opt.Count)
@@ -257,5 +344,42 @@ func TestCampaignInjectedFaultCaught(t *testing.T) {
 	}
 	if r.OrigInsts == 0 || r.Insts >= r.OrigInsts {
 		t.Errorf("repro not shrunk: %d insts (orig %d)", r.Insts, r.OrigInsts)
+	}
+}
+
+// A repro that cannot be written is logged, not silently dropped: the
+// finding still lands in its bucket, without a repro name. Permission bits
+// do not stop a root test run, so a directory squats on each repro's name.
+func TestCampaignReproWriteFailureLogged(t *testing.T) {
+	opt := campaignTestOptions()
+	opt.Count = 3
+	opt.Profiles = []Profile{ProfileBranchStorm}
+	opt.Faults = &faultinject.Plan{Seed: 1, Faults: []faultinject.Fault{
+		{Kind: faultinject.CommitStall, Start: 100},
+	}}
+	var log bytes.Buffer
+	opt.Log = &log
+
+	dir := t.TempDir()
+	for i := 0; i < opt.Count; i++ {
+		name := (&Case{Profile: ProfileBranchStorm, Index: i}).Name() + ".json"
+		if err := os.Mkdir(filepath.Join(dir, name), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum, err := Campaign(context.Background(), dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.FindingCount == 0 {
+		t.Fatal("the injected stall produced no finding")
+	}
+	if !strings.Contains(log.String(), "repro write failed") {
+		t.Errorf("repro write failure not logged:\n%s", log.String())
+	}
+	for _, b := range sum.Buckets {
+		if len(b.Repros) != 0 {
+			t.Errorf("bucket %s/%s/%s names repros that were never written: %v", b.Oracle, b.Policy, b.Kind, b.Repros)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 
 	"levioso/internal/engine"
 	"levioso/internal/isa"
@@ -119,83 +118,3 @@ func LoadCorpus(dir string) ([]*Repro, error) {
 	}
 	return out, nil
 }
-
-// ------------------------------------------------------------- run journal
-
-// Entry is one completed (or skipped) fuzz case in the session journal.
-// Entries are keyed by case index: a resumed session re-derives the same
-// (seed, profile) for an index and trusts the recorded verdict instead of
-// re-executing.
-type Entry struct {
-	Index    int       `json:"index"`
-	Seed     uint64    `json:"seed"`
-	Profile  Profile   `json:"profile"`
-	Verdict  string    `json:"verdict"` // "ok" | "skip" | "finding"
-	Findings []Finding `json:"findings,omitempty"`
-	Repro    string    `json:"repro,omitempty"` // repro file name in the corpus dir
-	Execs    int       `json:"execs"`
-}
-
-// Journal is the fuzz session's append-only JSON-lines progress record,
-// keyed by case index. Durability mechanics (single-write appends, fsync per
-// record, torn-tail healing on open) live in internal/journal; this wrapper
-// owns the Entry schema and the index-keyed resume map.
-type Journal struct {
-	mu   sync.Mutex
-	f    *journal.File
-	seen map[int]Entry
-}
-
-// JournalName is the journal's file name inside a corpus directory.
-const JournalName = "journal.jsonl"
-
-// OpenJournal opens (creating if absent) the session journal at path and
-// loads every entry recorded by earlier invocations. A torn trailing line
-// (the write a crash interrupted) is skipped and healed so the next append
-// starts clean.
-func OpenJournal(path string) (*Journal, error) {
-	j := &Journal{seen: make(map[int]Entry)}
-	f, err := journal.Open(path, func(line []byte) {
-		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			return // foreign line: the case just re-runs
-		}
-		j.seen[e.Index] = e
-	})
-	if err != nil {
-		return nil, fmt.Errorf("fuzz: %w", err)
-	}
-	j.f = f
-	return j, nil
-}
-
-// Lookup returns the recorded entry for a case index, if any.
-func (j *Journal) Lookup(index int) (Entry, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	e, ok := j.seen[index]
-	return e, ok
-}
-
-// Record appends one entry and fsyncs before returning — a power loss can
-// lose at most the entry being written, never completed cases. Safe for
-// concurrent use by the worker goroutines.
-func (j *Journal) Record(e Entry) error {
-	if err := j.f.Append(e); err != nil {
-		return err
-	}
-	j.mu.Lock()
-	j.seen[e.Index] = e
-	j.mu.Unlock()
-	return nil
-}
-
-// Len returns the number of recorded cases.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.seen)
-}
-
-// Close closes the underlying file.
-func (j *Journal) Close() error { return j.f.Close() }

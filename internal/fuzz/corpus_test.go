@@ -1,8 +1,6 @@
 package fuzz
 
 import (
-	"context"
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -48,92 +46,5 @@ func TestReproRoundTrip(t *testing.T) {
 	corpus, err := LoadCorpus(dir)
 	if err != nil || len(corpus) != 1 {
 		t.Fatalf("LoadCorpus: %v, %v", corpus, err)
-	}
-}
-
-func TestJournalResumeSkipsCompleted(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Options{
-		Seed:      1,
-		Count:     3,
-		Workers:   2,
-		CorpusDir: dir,
-		NoMatrix:  true,
-		Policies:  []string{"unsafe"},
-		NoStorm:   true,
-	}
-	first, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Cases != 3 || first.Resumed != 0 {
-		t.Fatalf("first session: cases=%d resumed=%d", first.Cases, first.Resumed)
-	}
-
-	// Same session again, extended: the three journaled cases must resume
-	// with zero re-execution and identical verdicts; only the new ones run.
-	cfg.Count = 6
-	second, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Resumed != 3 || second.Cases != 3 {
-		t.Errorf("second session: cases=%d resumed=%d, want 3/3", second.Cases, second.Resumed)
-	}
-	if len(second.Findings) != len(first.Findings)*2 && len(first.Findings) == 0 && len(second.Findings) != 0 {
-		t.Errorf("verdicts changed across resume: %v -> %v", first.Findings, second.Findings)
-	}
-}
-
-func TestJournalHealsTornTail(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, JournalName)
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Record(Entry{Index: 0, Verdict: "ok", Execs: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Record(Entry{Index: 1, Verdict: "finding", Execs: 7}); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-
-	// Simulate a crash mid-append: a torn half-written trailing record.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"index":2,"verdict":"o`)
-	f.Close()
-
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if j2.Len() != 2 {
-		t.Fatalf("after torn tail: %d entries, want 2", j2.Len())
-	}
-	if _, ok := j2.Lookup(2); ok {
-		t.Error("torn entry resurrected")
-	}
-	if e, ok := j2.Lookup(1); !ok || e.Verdict != "finding" || e.Execs != 7 {
-		t.Errorf("entry 1: %+v, %v", e, ok)
-	}
-
-	// The healed journal must accept (and later read back) a clean append.
-	if err := j2.Record(Entry{Index: 2, Verdict: "ok", Execs: 9}); err != nil {
-		t.Fatal(err)
-	}
-	j2.Close()
-	j3, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j3.Close()
-	if e, ok := j3.Lookup(2); !ok || e.Execs != 9 {
-		t.Errorf("post-heal append lost: %+v, %v", e, ok)
 	}
 }

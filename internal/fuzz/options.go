@@ -22,53 +22,54 @@ const MaxWorkers = 64
 // request through the HTTP handler is a typo, not a plan.
 const MaxCount = 1_000_000
 
-// Options is the single option surface for the fuzzing subsystem — one
-// session (Run), one campaign (Campaign), and every oracle-stack invocation
-// share it. It mirrors engine.Overrides: cmd/levfuzz flag parsing and the
+// Options is the single option surface for the fuzzing subsystem — a
+// campaign (Campaign) and every oracle-stack invocation share it. It
+// mirrors engine.Overrides: cmd/levfuzz flag parsing and the
 // levserve /v1/fuzz JSON handler both funnel through Normalize, so
 // defaults, bounds checks, and policy-spec canonicalization live in exactly
 // one place and a request rejected on the command line is rejected
 // identically over HTTP.
 type Options struct {
-	// --------------------------------------------------------- session ----
+	// -------------------------------------------------------- campaign ----
 
-	// Seed is the session base seed; case i derives its own seed from it
-	// (CaseSeed), which is what makes sessions and campaigns resumable
-	// without persisting generator state.
+	// Seed is the campaign base seed; case i derives its own seed from it
+	// (CaseSeed), which is what makes campaigns resumable without
+	// persisting generator state.
 	Seed uint64
 	// Profiles cycles per fresh case index (default: all profiles).
 	Profiles []Profile
 	// Count bounds the number of cases (0 with Duration set: unbounded;
-	// 0 without: 64). For a campaign the count is absolute: resuming a
-	// half-done campaign with the same Count finishes the remainder.
+	// 0 without: 64). The count is absolute: resuming a half-done campaign
+	// with the same Count finishes the remainder.
 	Count int
-	// Duration bounds the session wall clock (0: run until Count).
+	// Duration bounds the campaign wall clock (0: run until Count). The
+	// epoch in flight when it expires is discarded.
 	Duration time.Duration
-	// Workers is the parallel worker count for Run (default: GOMAXPROCS,
-	// capped at 8; hard-bounded by MaxWorkers). Campaigns are sequential —
-	// corpus evolution must be deterministic — and ignore it.
+	// Workers is the number of goroutines judging an epoch's cases
+	// (default: GOMAXPROCS, capped at 8; hard-bounded by MaxWorkers; at
+	// most one epoch's cases run at once). It is throughput only: the
+	// state file is byte-identical for every value.
 	Workers int
-	// CorpusDir, when set, receives shrunk repros and the resume journal
-	// (Run). Campaigns name their own directory and ignore it.
-	CorpusDir string
 	// NoShrink persists findings unshrunk.
 	NoShrink bool
-	// NoMatrix skips the once-per-session attack expectation matrix check.
-	NoMatrix bool
-	// Log, when set, receives progress lines as findings appear.
+	// Log, when set, receives a line per finding as it is folded.
 	Log io.Writer
-	// SnapshotEvery, when positive and Log is set, emits a periodic
-	// one-line throughput snapshot so long unbounded sessions stay
-	// observable.
-	SnapshotEvery time.Duration
+	// Blind disables coverage-guided corpus mutation: every case is
+	// generated fresh from the profile cycle. The control arm of the
+	// coverage-growth comparison.
+	Blind bool
+	// Progress, when non-nil, is called on the campaign goroutine after
+	// every folded case with the campaign's running totals (the levserve
+	// /v1/fuzz status endpoint polls these).
+	Progress func(Progress)
 
 	// ---------------------------------------------------------- oracle ----
 
 	// Policies to run every case under (default: the full registry sweep —
 	// every family, parameterized families at every level). Normalize
 	// resolves each spec against the registry and replaces it with the
-	// canonical spelling, so journals, findings, and campaign digests all
-	// see one spelling per configuration.
+	// canonical spelling, so findings and campaign digests see one
+	// spelling per configuration.
 	Policies []string
 	// MaxCycles bounds each core run (default 4M; gadget cases get at
 	// least 20M — the probe loop is long).
@@ -96,26 +97,15 @@ type Options struct {
 	// scheduler attaches a fresh sink per case and feeds the union back
 	// into corpus selection).
 	Coverage *cpu.CoverageSink
-
-	// -------------------------------------------------------- campaign ----
-
-	// Blind disables coverage-guided corpus mutation in a campaign: every
-	// case is generated fresh from the profile cycle, exactly like Run.
-	// The control arm of the coverage-growth comparison.
-	Blind bool
-	// Progress, when non-nil, is called by Campaign after every completed
-	// case with the campaign's running totals (the levserve /v1/fuzz
-	// status endpoint polls these).
-	Progress func(Progress)
 }
 
 // Normalize applies defaults and validates bounds, returning a typed
 // KindBuild error on anything out of range: negative counts or durations,
 // oversized worker pools, unknown profiles or policy specs. Policy specs
 // are resolved against the registry (secure.Resolve formats the
-// unknown-policy error) and replaced by their canonical spelling. Run and
-// Campaign normalize their options themselves; cli and serve call it
-// eagerly to reject bad requests before any work happens.
+// unknown-policy error) and replaced by their canonical spelling. Campaign
+// normalizes its options itself; cli and serve call it eagerly to reject
+// bad requests before any work happens.
 func (o *Options) Normalize() error {
 	if o.Count < 0 || o.Count > MaxCount {
 		return simerr.New(simerr.KindBuild, "fuzz: count %d out of range [0, %d]", o.Count, MaxCount)
@@ -128,9 +118,6 @@ func (o *Options) Normalize() error {
 	}
 	if o.Deadline < 0 {
 		return simerr.New(simerr.KindBuild, "fuzz: negative deadline %v", o.Deadline)
-	}
-	if o.SnapshotEvery < 0 {
-		return simerr.New(simerr.KindBuild, "fuzz: negative snapshot interval %v", o.SnapshotEvery)
 	}
 	if o.ShrinkBudget < 0 {
 		return simerr.New(simerr.KindBuild, "fuzz: negative shrink budget %d", o.ShrinkBudget)
@@ -172,8 +159,8 @@ func (o *Options) Normalize() error {
 
 // withDefaults fills the oracle-stack defaults without validating. The
 // oracle entry points (RunOracles, Shrink) apply it so direct callers —
-// tests, the replay suite — can pass sparse Options; the session/campaign
-// entry points run the full Normalize instead.
+// tests, the replay suite — can pass sparse Options; Campaign runs the full
+// Normalize instead.
 func (o Options) withDefaults() Options {
 	if len(o.Policies) == 0 {
 		o.Policies = engine.SweepPolicies()

@@ -52,7 +52,6 @@ func TestNormalizeRejectsBounds(t *testing.T) {
 		"too many workers":  {Workers: MaxWorkers + 1},
 		"negative duration": {Duration: -time.Second},
 		"negative deadline": {Deadline: -time.Second},
-		"negative snapshot": {SnapshotEvery: -time.Second},
 		"negative budget":   {ShrinkBudget: -1},
 		"unknown profile":   {Profiles: []Profile{"no-such"}},
 		"unknown policy":    {Policies: []string{"no-such-policy"}},

@@ -383,36 +383,3 @@ func engineRun(ctx context.Context, c *Case, pol string, maxCycles uint64, opt O
 	}
 	return engine.Run(ctx, req)
 }
-
-// SecurityMatrix replays the four internal/attack gadgets under each policy
-// and checks every outcome against the documented expectation matrix
-// (attack.ExpectedLeaks). It catches drift in both directions: a covering
-// policy that starts leaking, and an attack that stops working (unsafe MUST
-// leak — otherwise the security oracle is checking a broken probe).
-// Policies outside the documented matrix are ignored.
-func SecurityMatrix(policies []string) []Finding {
-	var known []string
-	for _, p := range policies {
-		if _, err := attack.ExpectedLeaks(p); err == nil {
-			known = append(known, p)
-		}
-	}
-	if len(known) == 0 {
-		return nil
-	}
-	outs, err := attack.Run(known, nil)
-	if err != nil {
-		return []Finding{{Oracle: OracleSecurity, Kind: "matrix", Detail: err.Error()}}
-	}
-	var fs []Finding
-	for _, o := range outs {
-		exp, _ := attack.ExpectedLeaks(o.Policy)
-		if got := o.Leaks(); got != exp {
-			fs = append(fs, Finding{
-				Oracle: OracleSecurity, Policy: o.Policy, Kind: "matrix",
-				Detail: fmt.Sprintf("attack leak matrix {V1,CTData,CT}: got %+v, want %+v", got, exp),
-			})
-		}
-	}
-	return fs
-}

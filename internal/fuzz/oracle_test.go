@@ -146,19 +146,6 @@ func TestStormKeepsArchitecture(t *testing.T) {
 	}
 }
 
-// SecurityMatrix replays the attack gadgets against the documented leak
-// expectations for the full registry sweep (every family, parameterized
-// families at every level) — drift in either direction (protection
-// regressing, or the attack dying) is a finding.
-func TestSecurityMatrixClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("attack replay is slow")
-	}
-	for _, f := range SecurityMatrix(engine.SweepPolicies()) {
-		t.Errorf("matrix drift: %s", f)
-	}
-}
-
 // The generated gadgets declare their planted secret secret-typed, so the
 // default oracle sweep (which includes prospect and every tunable level)
 // holds secret-aware policies to their contract: prospect must keep the

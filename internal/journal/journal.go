@@ -1,7 +1,6 @@
 // Package journal is the repository's crash-safe persistence primitive,
-// factored out of the two places that had grown identical copies of it
-// (the harness sweep journal and the fuzz session journal). It provides two
-// disciplines:
+// shared by the harness sweep journal and the fuzz campaign state file. It
+// provides two disciplines:
 //
 //   - File: an append-only JSON-lines record. Each Append is a single write
 //     followed by an fsync, so an interruption (crash, ^C, power loss) can
@@ -14,9 +13,9 @@
 //     so a reader sees either the old state or the complete new state,
 //     never a torn file.
 //
-// Callers stay typed: harness.Journal, fuzz.Journal, and the fuzz campaign
-// state are thin wrappers that own their entry schema and resume index; this
-// package owns only the durability mechanics.
+// Callers stay typed: harness.Journal (File) and the fuzz campaign state
+// (WriteAtomic) own their schema and resume logic; this package owns only
+// the durability mechanics.
 package journal
 
 import (

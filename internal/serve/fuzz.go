@@ -163,8 +163,11 @@ func decodeFuzzRequest(body io.Reader, fr *FuzzRequest) error {
 }
 
 // options translates the wire request into normalized campaign options.
+// A campaign holds exactly one coordinator slot, so it judges on one
+// goroutine; the state file is the same for any worker count.
 func (fr *FuzzRequest) options() (fuzz.Options, error) {
 	opt := fuzz.Options{
+		Workers:      1,
 		Seed:         fr.Seed,
 		Count:        fr.Count,
 		Policies:     fr.Policies,

@@ -151,6 +151,19 @@ func TestServeFuzzEndToEnd(t *testing.T) {
 	}
 }
 
+// A daemon campaign holds one coordinator slot (TryHold), so it must judge
+// on one goroutine whatever GOMAXPROCS is.
+func TestServeFuzzOneWorker(t *testing.T) {
+	fr := FuzzRequest{Seed: 7, Count: 16}
+	opt, err := fr.options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opt.Workers != 1 {
+		t.Errorf("campaign workers = %d, want 1 (one coordinator slot)", opt.Workers)
+	}
+}
+
 // TestServeFuzzErrors pins the fuzz endpoints' error taxonomy to the unified
 // envelope: 404 for unknown campaigns, 400 for malformed requests, each with
 // the kind in the body and the X-Error-Kind header.
