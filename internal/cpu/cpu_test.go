@@ -647,3 +647,20 @@ func TestBDTEntriesValidation(t *testing.T) {
 		t.Error("oversized BDTEntries accepted")
 	}
 }
+
+// TestNewAllocs guards core construction against per-set or per-bucket
+// allocation loops: building a core is a fixed handful of slabs, whatever
+// the cache geometry or wheel size.
+func TestNewAllocs(t *testing.T) {
+	prog := asm.MustAssemble("t.s", "main:\n\taddi t0, zero, 1\n\thalt t0\n")
+	cfg := DefaultConfig()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := New(prog, cfg, NopPolicy{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("cpu.New: %.0f allocations", allocs)
+	if allocs > 64 {
+		t.Errorf("cpu.New made %.0f allocations, want <= 64", allocs)
+	}
+}

@@ -13,7 +13,7 @@ import "math/bits"
 // the ROB order the scan-based stage used.
 
 const (
-	wheelBits = 10
+	wheelBits = 8
 	wheelSize = 1 << wheelBits
 	wheelMask = wheelSize - 1
 )

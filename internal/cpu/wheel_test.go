@@ -74,7 +74,7 @@ main:
 	halt t4            # 6*7*6 = 252
 `)
 	cfg := DefaultConfig()
-	cfg.MulLatency = 3*wheelSize + 129 // 3201 cycles: three full laps plus a partial
+	cfg.MulLatency = 3*wheelSize + 129 // 897 cycles: three full laps plus a partial
 	cfg.WatchdogCycles = -1            // no commits while the muls are in flight
 	c, err := New(prog, cfg, NopPolicy{})
 	if err != nil {

@@ -100,14 +100,18 @@ func (v *Verdict) add(f Finding) { v.Findings = append(v.Findings, f) }
 //
 //	(a) architectural differential vs internal/ref (exit code, output,
 //	    retired-instruction count) under every policy,
-//	(b) determinism — the identical run twice must be bit-identical,
-//	(c) Core.CheckInvariants after completion and after a fault-injected
-//	    squash storm (plus an architectural re-check: injected faults are
-//	    microarchitectural and must never change architecture),
+//	(b) determinism — the identical run again, on a core built directly so
+//	    it can be inspected afterwards, must be bit-identical to (a),
+//	(c) Core.CheckInvariants on that same post-run core (the completion
+//	    stage) and after a fault-injected squash storm (plus an
+//	    architectural re-check: injected faults are microarchitectural and
+//	    must never change architecture),
 //	(d) the security oracle for gadget cases — a covering policy must keep
 //	    the probe blind to the planted secret,
 //	(e) panic/limit capture funneled through simerr.
 //
+// Judging a case costs one reference run plus three simulations per policy
+// (two with NoStorm), plus a confirmation run per suspected gadget leak.
 // The stack is deterministic: the same case with the same options yields the
 // same verdict, which is what makes corpus replay and journal resume exact.
 func RunOracles(ctx context.Context, c *Case, opt Options) Verdict {
@@ -170,20 +174,12 @@ func runPolicyOracles(ctx context.Context, v *Verdict, c *Case, pol string, want
 		checkGadgetLeak(ctx, v, c, pol, res.Output, maxCycles, opt)
 	}
 
-	// (b): bit-identical determinism of the identical request.
-	res2, err2 := engineRun(ctx, c, pol, maxCycles, opt, false, nil)
-	v.Execs++
-	switch {
-	case err2 != nil:
-		if simerr.KindOf(err2) == simerr.KindDeadline {
-			v.SkippedRuns++
-		} else {
-			v.add(Finding{
-				Oracle: OracleDeterminism, Policy: pol, Kind: simerr.KindOf(err2).String(),
-				Detail: "second identical run failed: " + err2.Error(),
-			})
-		}
-	case res2.ExitCode != res.ExitCode || res2.Output != res.Output || res2.Stats != res.Stats:
+	// (b) + (c) completion stage: the identical run again must reproduce
+	// (a) bit for bit and leave the core's invariants intact. (a) was
+	// verified against the reference, so an identical run needs no
+	// architectural re-check of its own.
+	if res2, ok := directRun(ctx, v, c, pol, "completion", maxCycles, opt, opt.Faults); ok &&
+		(res2.ExitCode != res.ExitCode || res2.Output != res.Output || res2.Stats != res.Stats) {
 		v.add(Finding{
 			Oracle: OracleDeterminism, Policy: pol, Kind: "stats",
 			Detail: fmt.Sprintf("same seed, different outcome: exit %d/%d, output %q/%q, cycles %d/%d",
@@ -191,10 +187,16 @@ func runPolicyOracles(ctx context.Context, v *Verdict, c *Case, pol string, want
 		})
 	}
 
-	// (c): invariants after clean completion, then under a squash storm.
-	coreInvariants(ctx, v, c, pol, want, maxCycles, opt, false)
-	if !opt.NoStorm {
-		coreInvariants(ctx, v, c, pol, want, maxCycles, opt, true)
+	// (c) storm stage: injected faults and storms are microarchitectural
+	// only, so architecture must still match the reference.
+	if opt.NoStorm {
+		return
+	}
+	if res3, ok := directRun(ctx, v, c, pol, "storm", maxCycles, opt, combinedPlan(c, opt)); ok &&
+		!c.TimingDep && (res3.ExitCode != want.ExitCode || res3.Output != want.Output) {
+		v.add(Finding{Oracle: OracleDifferential, Policy: pol, Kind: "storm",
+			Detail: fmt.Sprintf("microarchitectural faults changed architecture: exit %d output %q, want %d %q",
+				res3.ExitCode, res3.Output, want.ExitCode, want.Output)})
 	}
 }
 
@@ -259,77 +261,58 @@ func replanted(c *Case) *Case {
 	return &alt
 }
 
-// coreInvariants is oracle (c): a direct core run (so the post-run core is
-// inspectable), CheckInvariants, and — because injected faults and storms
-// are microarchitectural only — an architectural re-check against the
-// reference result.
-func coreInvariants(ctx context.Context, v *Verdict, c *Case, pol string, want ref.Result, maxCycles uint64, opt Options, storm bool) {
-	stage := "completion"
-	if storm {
-		stage = "storm"
-	}
+// directRun runs c under pol on a core built outside the engine, with the
+// configuration engineRun uses plus plan, so the post-run core can be
+// inspected: a completed run must pass CheckInvariants. Failures, invariant
+// violations and panics are reported under stage; ok is false when the run
+// produced no result to judge further.
+func directRun(ctx context.Context, v *Verdict, c *Case, pol, stage string, maxCycles uint64, opt Options, plan *faultinject.Plan) (res cpu.Result, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			v.add(Finding{Oracle: OraclePanic, Policy: pol, Kind: stage,
 				Detail: fmt.Sprintf("%v\n%s", r, debug.Stack())})
 		}
 	}()
-
 	p, err := secure.New(pol)
 	if err != nil {
 		v.add(Finding{Oracle: OracleBuild, Policy: pol, Kind: stage, Detail: err.Error()})
-		return
+		return res, false
 	}
-	cfg := cpu.DefaultConfig()
-	cfg.MaxCycles = maxCycles
-	cfg.Coverage = opt.Coverage
-	if plan := combinedPlan(c, opt, storm); plan != nil {
-		faultinject.New(*plan, 1).Attach(&cfg)
-	}
-	core, err := cpu.New(c.Prog, cfg, p)
+	core, err := cpu.New(c.Prog, runConfig(maxCycles, opt, plan), p)
 	if err != nil {
 		v.add(Finding{Oracle: OracleBuild, Policy: pol, Kind: stage, Detail: err.Error()})
-		return
+		return res, false
 	}
 	rctx, cancel := runCtx(ctx, opt)
 	defer cancel()
-	res, err := core.RunContext(rctx)
+	res, err = core.RunContext(rctx)
 	v.Execs++
 	if err != nil {
 		f, skip := classifyRunErr(pol, err)
 		if skip {
 			v.SkippedRuns++
-			return
+			return res, false
 		}
 		f.Kind = stage + ":" + f.Kind
 		v.add(f)
-		return
+		return res, false
 	}
 	if ierr := core.CheckInvariants(); ierr != nil {
 		v.add(Finding{Oracle: OracleInvariants, Policy: pol, Kind: stage, Detail: ierr.Error()})
 	}
-	if !c.TimingDep && (res.ExitCode != want.ExitCode || res.Output != want.Output) {
-		v.add(Finding{Oracle: OracleDifferential, Policy: pol, Kind: stage,
-			Detail: fmt.Sprintf("microarchitectural faults changed architecture: exit %d output %q, want %d %q",
-				res.ExitCode, res.Output, want.ExitCode, want.Output)})
-	}
+	return res, true
 }
 
 // combinedPlan merges the session's injected faults with the storm fault.
 // The seed mixes the case seed so storms differ per case but reproduce
 // exactly per (case, options).
-func combinedPlan(c *Case, opt Options, storm bool) *faultinject.Plan {
-	if opt.Faults == nil && !storm {
-		return nil
-	}
+func combinedPlan(c *Case, opt Options) *faultinject.Plan {
 	plan := faultinject.Plan{Seed: int64(c.Seed ^ 0x53746f726d)}
 	if opt.Faults != nil {
 		plan.Seed ^= opt.Faults.Seed
 		plan.Faults = append(plan.Faults, opt.Faults.Faults...)
 	}
-	if storm {
-		plan.Faults = append(plan.Faults, faultinject.Fault{Kind: faultinject.MispredictStorm, Prob: 0.5})
-	}
+	plan.Faults = append(plan.Faults, faultinject.Fault{Kind: faultinject.MispredictStorm, Prob: 0.5})
 	return &plan
 }
 
@@ -364,15 +347,22 @@ func refRun(ctx context.Context, c *Case, opt Options) (ref.Result, error) {
 	return engine.Reference(rctx, c.Prog, ref.Limits{MaxInsts: opt.RefMaxInsts})
 }
 
-func engineRun(ctx context.Context, c *Case, pol string, maxCycles uint64, opt Options, verify bool, want *ref.Result) (*engine.Result, error) {
+// runConfig is the core configuration every oracle run uses, with plan
+// (when non-nil) attached through a fresh injector: the injector is
+// stateful (PRNG, cycle clock), and sharing one would break run-to-run
+// determinism.
+func runConfig(maxCycles uint64, opt Options, plan *faultinject.Plan) cpu.Config {
 	cfg := cpu.DefaultConfig()
 	cfg.MaxCycles = maxCycles
 	cfg.Coverage = opt.Coverage
-	if opt.Faults != nil {
-		// A fresh injector per run: the injector is stateful (PRNG, cycle
-		// clock), and sharing one would break run-to-run determinism.
-		faultinject.New(*opt.Faults, 1).Attach(&cfg)
+	if plan != nil {
+		faultinject.New(*plan, 1).Attach(&cfg)
 	}
+	return cfg
+}
+
+func engineRun(ctx context.Context, c *Case, pol string, maxCycles uint64, opt Options, verify bool, want *ref.Result) (*engine.Result, error) {
+	cfg := runConfig(maxCycles, opt, opt.Faults)
 	req := engine.Request{
 		Name: c.Name(), Program: c.Prog, Config: &cfg,
 		Overrides: engine.Overrides{Policy: pol, Deadline: opt.Deadline},

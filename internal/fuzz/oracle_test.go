@@ -230,3 +230,67 @@ func TestGadgetGuessMustFollowSecret(t *testing.T) {
 		t.Errorf("unsafe probe guessed %s, want the re-planted %d", got, alt.Secret)
 	}
 }
+
+// TestOracleRunCount pins the cost of judging a case: one reference run,
+// then per policy the verified run, the determinism re-run that is also the
+// inspected completion run, and the storm run (dropped by NoStorm).
+func TestOracleRunCount(t *testing.T) {
+	n := len(quickPolicies)
+	for _, p := range Profiles() {
+		c, err := Generate(p, CaseSeed(3, 1), 1)
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		for _, noStorm := range []bool{false, true} {
+			want := 1 + 3*n
+			if noStorm {
+				want = 1 + 2*n
+			}
+			v := RunOracles(context.Background(), c, Options{Policies: quickPolicies, NoStorm: noStorm})
+			if len(v.Findings) != 0 || v.Skipped || v.SkippedRuns != 0 {
+				t.Fatalf("%s: not a clean case: %+v", p, v)
+			}
+			if v.Execs != want {
+				t.Errorf("%s NoStorm=%v: %d executions, want %d", p, noStorm, v.Execs, want)
+			}
+		}
+	}
+}
+
+// TestFaultPlanVerdicts pins the verdicts of session fault plans: a
+// mispredict storm is microarchitectural and judged clean by every run,
+// and a commit stall trips the watchdog on the verified run of every
+// policy, which ends that policy's judging.
+func TestFaultPlanVerdicts(t *testing.T) {
+	c, err := Generate(ProfileBranchStorm, CaseSeed(1, 0), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(quickPolicies)
+	var stalled []string
+	for _, pol := range quickPolicies {
+		stalled = append(stalled, OracleLimits+"/"+pol+"/watchdog")
+	}
+	for _, tc := range []struct {
+		name    string
+		fault   faultinject.Fault
+		execs   int
+		classes []string
+	}{
+		{"mispredict-storm", faultinject.Fault{Kind: faultinject.MispredictStorm, Prob: 0.5}, 1 + 3*n, nil},
+		{"commit-stall", faultinject.Fault{Kind: faultinject.CommitStall, Start: 100}, 1 + n, stalled},
+	} {
+		plan := &faultinject.Plan{Seed: 1, Faults: []faultinject.Fault{tc.fault}}
+		v := RunOracles(context.Background(), c, Options{Policies: quickPolicies, Faults: plan})
+		var classes []string
+		for _, f := range v.Findings {
+			classes = append(classes, f.Oracle+"/"+f.Policy+"/"+f.Kind)
+		}
+		if !slices.Equal(classes, tc.classes) {
+			t.Errorf("%s: finding classes %v, want %v", tc.name, classes, tc.classes)
+		}
+		if v.Execs != tc.execs {
+			t.Errorf("%s: %d executions, want %d", tc.name, v.Execs, tc.execs)
+		}
+	}
+}

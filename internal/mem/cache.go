@@ -47,47 +47,53 @@ type CacheStats struct {
 // timing, which is exactly what the side channel needs.
 type Cache struct {
 	cfg   CacheConfig
-	tags  [][]uint64 // [set][way] line address
-	valid [][]bool
-	used  [][]uint64 // [set][way] LRU stamp
+	ways  []way // Sets*Ways entries, set-major: set s is ways[s*Ways:(s+1)*Ways]
 	stamp uint64
 	Stats CacheStats
+}
+
+// way is one cache line slot. used is its LRU stamp; stamps start at 1, so
+// used == 0 marks an empty (invalid) way.
+type way struct {
+	tag  uint64 // line address
+	used uint64
 }
 
 // NewCache builds a cache; it panics on invalid geometry (configs are
 // validated by Hierarchy construction first).
 func NewCache(cfg CacheConfig) *Cache {
-	c := &Cache{cfg: cfg}
-	c.tags = make([][]uint64, cfg.Sets)
-	c.valid = make([][]bool, cfg.Sets)
-	c.used = make([][]uint64, cfg.Sets)
-	for s := range c.tags {
-		c.tags[s] = make([]uint64, cfg.Ways)
-		c.valid[s] = make([]bool, cfg.Ways)
-		c.used[s] = make([]uint64, cfg.Ways)
-	}
-	return c
+	return &Cache{cfg: cfg, ways: make([]way, cfg.Sets*cfg.Ways)}
 }
 
 // Config returns the cache geometry.
 func (c *Cache) Config() CacheConfig { return c.cfg }
 
-func (c *Cache) line(addr uint64) (set int, tag uint64) {
+// line returns addr's set and its line address (the tag).
+func (c *Cache) line(addr uint64) (set []way, tag uint64) {
 	l := addr / uint64(c.cfg.LineBytes)
-	return int(l % uint64(c.cfg.Sets)), l
+	s := int(l%uint64(c.cfg.Sets)) * c.cfg.Ways
+	return c.ways[s : s+c.cfg.Ways], l
+}
+
+// find returns the way holding tag in set, or -1.
+func find(set []way, tag uint64) int {
+	for w := range set {
+		if set[w].used != 0 && set[w].tag == tag {
+			return w
+		}
+	}
+	return -1
 }
 
 // Lookup reports whether addr's line is resident, updating LRU on hit but
 // never filling.
 func (c *Cache) Lookup(addr uint64) bool {
 	set, tag := c.line(addr)
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[set][w] && c.tags[set][w] == tag {
-			c.stamp++
-			c.used[set][w] = c.stamp
-			c.Stats.Hits++
-			return true
-		}
+	if w := find(set, tag); w >= 0 {
+		c.stamp++
+		set[w].used = c.stamp
+		c.Stats.Hits++
+		return true
 	}
 	c.Stats.Misses++
 	return false
@@ -97,61 +103,44 @@ func (c *Cache) Lookup(addr uint64) bool {
 // and the attack scorer, which must not perturb the state it observes).
 func (c *Cache) Probe(addr uint64) bool {
 	set, tag := c.line(addr)
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[set][w] && c.tags[set][w] == tag {
-			return true
-		}
-	}
-	return false
+	return find(set, tag) >= 0
 }
 
 // Fill inserts addr's line, evicting the LRU way if needed.
 func (c *Cache) Fill(addr uint64) {
 	set, tag := c.line(addr)
+	c.stamp++
 	// Already resident (racing fills): refresh LRU only.
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[set][w] && c.tags[set][w] == tag {
-			c.stamp++
-			c.used[set][w] = c.stamp
-			return
-		}
+	if w := find(set, tag); w >= 0 {
+		set[w].used = c.stamp
+		return
 	}
 	victim := 0
-	for w := 0; w < c.cfg.Ways; w++ {
-		if !c.valid[set][w] {
+	for w := range set {
+		if set[w].used == 0 {
 			victim = w
 			break
 		}
-		if c.used[set][w] < c.used[set][victim] {
+		if set[w].used < set[victim].used {
 			victim = w
 		}
 	}
-	if c.valid[set][victim] {
+	if set[victim].used != 0 {
 		c.Stats.Evictions++
 	}
-	c.valid[set][victim] = true
-	c.tags[set][victim] = tag
-	c.stamp++
-	c.used[set][victim] = c.stamp
+	set[victim] = way{tag: tag, used: c.stamp}
 }
 
 // Flush evicts addr's line if resident.
 func (c *Cache) Flush(addr uint64) {
 	set, tag := c.line(addr)
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[set][w] && c.tags[set][w] == tag {
-			c.valid[set][w] = false
-			c.Stats.Flushes++
-			return
-		}
+	if w := find(set, tag); w >= 0 {
+		set[w].used = 0
+		c.Stats.Flushes++
 	}
 }
 
 // InvalidateAll empties the cache (used between attack trials).
 func (c *Cache) InvalidateAll() {
-	for s := range c.valid {
-		for w := range c.valid[s] {
-			c.valid[s][w] = false
-		}
-	}
+	clear(c.ways)
 }

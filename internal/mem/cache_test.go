@@ -1,6 +1,10 @@
 package mem
 
-import "testing"
+import (
+	"math/rand/v2"
+	"slices"
+	"testing"
+)
 
 func smallCache() *Cache {
 	return NewCache(CacheConfig{Sets: 2, Ways: 2, LineBytes: 64, Latency: 2})
@@ -177,5 +181,125 @@ func TestInvalidateAll(t *testing.T) {
 	c.InvalidateAll()
 	if c.Probe(0x0) || c.Probe(0x40) {
 		t.Error("InvalidateAll left lines")
+	}
+}
+
+// lruModel is a naive reference cache: each set is a list of resident line
+// addresses, least recently used first.
+type lruModel struct {
+	sets      [][]uint64
+	ways      int
+	lineBytes uint64
+	stats     CacheStats
+}
+
+func newLRUModel(cfg CacheConfig) *lruModel {
+	return &lruModel{sets: make([][]uint64, cfg.Sets), ways: cfg.Ways, lineBytes: uint64(cfg.LineBytes)}
+}
+
+// find returns addr's set index, line address and position in the set (-1
+// when absent).
+func (m *lruModel) find(addr uint64) (int, uint64, int) {
+	l := addr / m.lineBytes
+	s := int(l % uint64(len(m.sets)))
+	return s, l, slices.Index(m.sets[s], l)
+}
+
+// touch moves position i of set s to the most recently used end.
+func (m *lruModel) touch(s, i int) {
+	l := m.sets[s][i]
+	m.sets[s] = append(slices.Delete(m.sets[s], i, i+1), l)
+}
+
+func (m *lruModel) lookup(addr uint64) bool {
+	s, _, i := m.find(addr)
+	if i < 0 {
+		m.stats.Misses++
+		return false
+	}
+	m.touch(s, i)
+	m.stats.Hits++
+	return true
+}
+
+func (m *lruModel) probe(addr uint64) bool {
+	_, _, i := m.find(addr)
+	return i >= 0
+}
+
+func (m *lruModel) fill(addr uint64) {
+	s, l, i := m.find(addr)
+	switch {
+	case i >= 0:
+		m.touch(s, i)
+	case len(m.sets[s]) < m.ways:
+		m.sets[s] = append(m.sets[s], l)
+	default:
+		m.sets[s] = append(m.sets[s][1:], l)
+		m.stats.Evictions++
+	}
+}
+
+func (m *lruModel) flush(addr uint64) {
+	if s, _, i := m.find(addr); i >= 0 {
+		m.sets[s] = slices.Delete(m.sets[s], i, i+1)
+		m.stats.Flushes++
+	}
+}
+
+func (m *lruModel) invalidateAll() {
+	for s := range m.sets {
+		m.sets[s] = m.sets[s][:0]
+	}
+}
+
+// TestCacheMatchesLRUModel drives the cache and the naive model with the
+// same seeded stream of operations over twice as many lines as the cache
+// holds, so sets fill, evict, flush and refill, with an InvalidateAll about
+// every ten cache capacities' worth of operations: every residency answer
+// and every statistic must agree.
+func TestCacheMatchesLRUModel(t *testing.T) {
+	for _, geo := range [][2]int{{1, 1}, {2, 2}, {64, 8}, {256, 16}} {
+		cfg := CacheConfig{Sets: geo[0], Ways: geo[1], LineBytes: 64, Latency: 1}
+		c, m := NewCache(cfg), newLRUModel(cfg)
+		rng := rand.New(rand.NewPCG(uint64(cfg.Lines()), 7))
+		lines := uint64(2 * cfg.Lines())
+		invalidations := 0
+		for op := 0; op < 20000+40*cfg.Lines(); op++ {
+			addr := rng.Uint64N(lines)*64 + rng.Uint64N(64)
+			switch r := rng.IntN(100); {
+			case r < 40:
+				if got, want := c.Lookup(addr), m.lookup(addr); got != want {
+					t.Fatalf("%dx%d op %d: Lookup(%#x) = %v, want %v", geo[0], geo[1], op, addr, got, want)
+				}
+			case r < 80:
+				c.Fill(addr)
+				m.fill(addr)
+			case r < 90:
+				c.Flush(addr)
+				m.flush(addr)
+			case r < 99:
+				if got, want := c.Probe(addr), m.probe(addr); got != want {
+					t.Fatalf("%dx%d op %d: Probe(%#x) = %v, want %v", geo[0], geo[1], op, addr, got, want)
+				}
+			default:
+				if rng.IntN(max(1, cfg.Lines()/10)) == 0 {
+					c.InvalidateAll()
+					m.invalidateAll()
+					invalidations++
+				}
+			}
+			if c.Stats != m.stats {
+				t.Fatalf("%dx%d op %d: stats %+v, want %+v", geo[0], geo[1], op, c.Stats, m.stats)
+			}
+		}
+		for l := uint64(0); l < lines; l++ {
+			if got, want := c.Probe(l*64), m.probe(l*64); got != want {
+				t.Fatalf("%dx%d: final residency of line %d = %v, want %v", geo[0], geo[1], l, got, want)
+			}
+		}
+		if s := m.stats; s.Hits == 0 || s.Misses == 0 || s.Evictions == 0 || s.Flushes == 0 || invalidations == 0 {
+			t.Errorf("%dx%d: stream left an operation unexercised: %+v, %d invalidations", geo[0], geo[1], s, invalidations)
+		}
 	}
 }

@@ -143,18 +143,32 @@ func (m *Memory) Store8(addr uint64, b byte) {
 	}
 }
 
-// WriteBytes copies b to memory starting at addr.
+// WriteBytes copies b to memory starting at addr, one page-sized piece at a
+// time; bytes beyond isa.MemLimit are dropped, as Store8 drops them.
 func (m *Memory) WriteBytes(addr uint64, b []byte) {
-	for i, v := range b {
-		m.Store8(addr+uint64(i), v)
+	for len(b) > 0 {
+		off := addr & pageMask
+		n := min(len(b), int(pageSize-off))
+		if p := m.page(addr, true); p != nil {
+			copy(p[off:], b[:n])
+		}
+		addr += uint64(n)
+		b = b[n:]
 	}
 }
 
-// ReadBytes copies n bytes starting at addr into a new slice.
+// ReadBytes copies n bytes starting at addr into a new slice, one page-sized
+// piece at a time; unwritten bytes read as zero, as Load8 reads them.
 func (m *Memory) ReadBytes(addr uint64, n int) []byte {
 	out := make([]byte, n)
-	for i := range out {
-		out[i] = m.Load8(addr + uint64(i))
+	for b := out; len(b) > 0; {
+		off := addr & pageMask
+		k := min(len(b), int(pageSize-off))
+		if p := m.page(addr, false); p != nil {
+			copy(b[:k], p[off:])
+		}
+		addr += uint64(k)
+		b = b[k:]
 	}
 	return out
 }

@@ -67,3 +67,42 @@ func TestMemoryClone(t *testing.T) {
 		t.Error("clone missing data")
 	}
 }
+
+// WriteBytes and ReadBytes move whole page-sized pieces; a span that
+// straddles a page boundary and a radix-chunk boundary (and runs past
+// MemLimit) must read back exactly as byte-at-a-time Store8/Load8 would.
+func TestMemoryBytesStraddlePageAndChunk(t *testing.T) {
+	const chunkBytes = chunkPages * pageSize
+	cases := []struct {
+		addr uint64
+		n    int
+	}{
+		{chunkBytes - 5, 11},                           // last page of chunk 0 into chunk 1
+		{3*chunkBytes - pageSize - 7, 2*pageSize + 20}, // four pages, one chunk edge
+		{pageSize - 1, 2},                              // one page edge, no chunk edge
+		{isa.MemLimit - 3, 9},                          // runs off the end of memory
+		{0x4000, 0},                                    // empty
+	}
+	for _, tc := range cases {
+		data := make([]byte, tc.n)
+		for i := range data {
+			data[i] = byte(i*7 + 1)
+		}
+		bulk, bytewise := NewMemory(), NewMemory()
+		bulk.WriteBytes(tc.addr, data)
+		for i, v := range data {
+			bytewise.Store8(tc.addr+uint64(i), v)
+		}
+		if bulk.Pages() != bytewise.Pages() {
+			t.Errorf("%#x+%d: WriteBytes mapped %d pages, Store8 %d", tc.addr, tc.n, bulk.Pages(), bytewise.Pages())
+		}
+		// Read a margin either side so neighbours are checked too.
+		lo := tc.addr - 16
+		got := bulk.ReadBytes(lo, tc.n+32)
+		for i, g := range got {
+			if w := bytewise.Load8(lo + uint64(i)); g != w {
+				t.Fatalf("%#x+%d: byte %#x = %d, want %d", tc.addr, tc.n, lo+uint64(i), g, w)
+			}
+		}
+	}
+}
