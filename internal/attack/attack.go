@@ -207,6 +207,7 @@ func OracleLineResident(policy string, secret byte) (bool, error) {
 	}
 	cfg := cpu.DefaultConfig()
 	cfg.MaxCycles = 20_000_000
+	// Never Released: Release would invalidate c.Hier, probed after the run.
 	c, err := cpu.New(prog, cfg, secure.MustNew(policy))
 	if err != nil {
 		return false, err

@@ -74,9 +74,10 @@ func NewBranchTable(prog *isa.Program) *BranchTable {
 	return &BranchTable{prog: prog}
 }
 
-// Reset clears all state.
-func (t *BranchTable) Reset() {
-	*t = BranchTable{prog: t.prog}
+// Reset clears all state and makes the table read annotations from prog,
+// leaving it as NewBranchTable(prog) would build it.
+func (t *BranchTable) Reset(prog *isa.Program) {
+	*t = BranchTable{prog: prog}
 }
 
 // CloseRegions must be called once per instruction, in rename order, with the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strconv"
+	"sync"
 
 	"levioso/internal/core"
 	"levioso/internal/isa"
@@ -93,11 +94,25 @@ type Core struct {
 	verdictEpoch uint32
 
 	// Free pools (see pool.go): recycled DynInst/Checkpoint objects so the
-	// steady-state fetch path performs no heap allocation.
+	// steady-state fetch path performs no heap allocation. The slabs back
+	// them, so init can rebuild full pools for a recycled core.
 	instPool    []*DynInst
 	checkPool   []*Checkpoint
 	instAllocd  int
 	checkAllocd int
+	instSlab    []DynInst
+	checkSlab   []Checkpoint
+
+	// hier and pred are the memory system and predictor under any
+	// Config.WrapMem/WrapPred wrapper; a recycled core resets them in place.
+	hier *mem.Hierarchy
+	pred *Predictor
+
+	// Scratch for CheckInvariants (see pool.go), kept so the audit
+	// allocates nothing when every check passes.
+	invOwner    []int32
+	pooledInst  map[*DynInst]bool
+	pooledCheck map[*Checkpoint]bool
 
 	fetchPC         uint64
 	fetchStallUntil uint64
@@ -138,77 +153,158 @@ type Core struct {
 	lastCommitCycle uint64
 }
 
+// corePool holds released cores whose buffers New reuses (see Release).
+var corePool = sync.Pool{New: func() any { return new(Core) }}
+
 // New builds a core with prog loaded, memory initialized, and the policy
 // attached. Pass NopPolicy{} for an unprotected core.
+//
+// New reuses the buffers of a core handed back with Release when one is
+// available; a recycled core starts the run in exactly the state a newly
+// built one would. prog must not be modified after New: a recycled core keeps
+// its decoded-metadata table when the same *isa.Program comes back.
 func New(prog *isa.Program, cfg Config, pol Policy) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	c := corePool.Get().(*Core)
+	if err := c.init(prog, cfg, pol); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Release hands c back for a later New to reuse its buffers. Call it once,
+// after the last use of c, and never after a run that panicked (its state is
+// unknown). What the run returned stays valid: Result, Stats and Output are
+// copies. Everything reached through c becomes invalid: the core itself, its
+// BT, Hier, Phys and Pred, and every *DynInst it handed to the policy.
+func (c *Core) Release() {
+	// Drop what belongs to the caller or to this run; prog stays, so the
+	// next New can tell whether the metadata table is still the program's.
+	c.hier.Phys = nil
+	c.cfg, c.policy, c.cov, c.sec = Config{}, nil, nil, nil
+	c.Hier, c.Phys, c.Pred = nil, nil, nil
+	corePool.Put(c)
+}
+
+// init loads prog into c under cfg and attaches pol. It is the only
+// construction path: every buffer a zero Core lacks is allocated here, and
+// every buffer a released Core brings is resized and reset here, so the two
+// start the run in the same state. Everything else starts at its zero value.
+func (c *Core) init(prog *isa.Program, cfg Config, pol Policy) error {
+	old := *c
+	// Physical memory is always fresh: keeping pages cost resident memory
+	// and saved no time.
 	phys := mem.NewMemory()
 	phys.WriteBytes(isa.DataBase, prog.Data)
-	hier, err := mem.NewHierarchy(cfg.Hier, phys)
-	if err != nil {
-		return nil, err
+	hier := old.hier
+	if hier != nil && hier.Cfg == cfg.Hier {
+		hier.Reset(phys)
+	} else {
+		var err error
+		if hier, err = mem.NewHierarchy(cfg.Hier, phys); err != nil {
+			return err
+		}
+	}
+	pred := old.pred
+	if pred != nil && pred.cfg == cfg.Predictor {
+		pred.Reset()
+	} else {
+		pred = NewPredictor(cfg.Predictor)
+	}
+	bt := old.BT
+	if bt != nil {
+		bt.Reset(prog)
+	} else {
+		bt = core.NewBranchTable(prog)
+	}
+	meta := old.meta
+	if prog != old.prog {
+		meta = buildMeta(prog)
 	}
 	var ms MemSystem = hier
 	if cfg.WrapMem != nil {
 		ms = cfg.WrapMem(ms)
 	}
-	var pred BranchPredictor = NewPredictor(cfg.Predictor)
+	var bp BranchPredictor = pred
 	if cfg.WrapPred != nil {
-		pred = cfg.WrapPred(pred)
+		bp = cfg.WrapPred(bp)
 	}
-	c := &Core{
+	*c = Core{
 		cfg:    cfg,
 		prog:   prog,
 		policy: pol,
-		meta:   buildMeta(prog),
-		BT:     core.NewBranchTable(prog),
+		meta:   meta,
+		BT:     bt,
 		Hier:   ms,
 		Phys:   phys,
-		Pred:   pred,
+		Pred:   bp,
 		cov:    cfg.Coverage,
+		hier:   hier,
+		pred:   pred,
+		// CheckInvariants' scratch (see pool.go); it resets it per call.
+		invOwner:    old.invOwner,
+		pooledInst:  old.pooledInst,
+		pooledCheck: old.pooledCheck,
 	}
-	c.regVal = make([]uint64, cfg.NumPhysRegs)
-	c.regReady = make([]bool, cfg.NumPhysRegs)
+	c.regVal = zeroed(old.regVal, cfg.NumPhysRegs)
+	c.regReady = zeroed(old.regReady, cfg.NumPhysRegs)
 	// Pre-size the wakeup lists (and the issue-scheduler queues below) so the
 	// steady-state run allocates nothing: a register rarely collects more
 	// than a handful of waiters, and the lists keep their capacity across
 	// the ws[:0] reset in wake.
-	c.waiters = make([][]waiter, cfg.NumPhysRegs)
-	waiterSlab := make([]waiter, cfg.NumPhysRegs*8)
-	for p := range c.waiters {
-		c.waiters[p] = waiterSlab[p*8 : p*8 : (p+1)*8]
+	if len(old.waiters) == cfg.NumPhysRegs {
+		c.waiters = old.waiters
+		for p := range c.waiters {
+			c.waiters[p] = c.waiters[p][:0]
+		}
+	} else {
+		c.waiters = make([][]waiter, cfg.NumPhysRegs)
+		waiterSlab := make([]waiter, cfg.NumPhysRegs*8)
+		for p := range c.waiters {
+			c.waiters[p] = waiterSlab[p*8 : p*8 : (p+1)*8]
+		}
 	}
-	c.readyQ = make([]*DynInst, 0, cfg.IQSize+1)
-	c.iqFreed = make([]waiter, 0, cfg.IssueWidth)
+	c.readyQ = emptied(old.readyQ, cfg.IQSize+1)
+	c.iqFreed = emptied(old.iqFreed, cfg.IssueWidth)
 	// Pre-build the object pools from contiguous slabs sized to the window:
 	// the steady-state loop then allocates nothing (no GC pressure charged
-	// to the simulation), and window walks touch adjacent memory.
-	instSlab := make([]DynInst, cfg.ROBSize+cfg.FetchBufSize+8)
-	c.instPool = make([]*DynInst, 0, len(instSlab)+8)
-	for i := range instSlab {
-		c.instPool = append(c.instPool, &instSlab[i])
+	// to the simulation), and window walks touch adjacent memory. Pooled
+	// objects are reset on reuse (see pool.go), so a recycled slab needs no
+	// clearing; a recycled Checkpoint keeps its RAS buffer.
+	c.instSlab = sized(old.instSlab, cfg.ROBSize+cfg.FetchBufSize+8)
+	c.instPool = emptied(old.instPool, len(c.instSlab)+8)
+	for i := range c.instSlab {
+		c.instPool = append(c.instPool, &c.instSlab[i])
 	}
-	c.instAllocd = len(instSlab)
-	checkSlab := make([]Checkpoint, core.NumSlots+cfg.FetchBufSize+8)
-	c.checkPool = make([]*Checkpoint, 0, len(checkSlab)+8)
-	for i := range checkSlab {
-		c.checkPool = append(c.checkPool, &checkSlab[i])
+	c.instAllocd = len(c.instSlab)
+	c.checkSlab = sized(old.checkSlab, core.NumSlots+cfg.FetchBufSize+8)
+	c.checkPool = emptied(old.checkPool, len(c.checkSlab)+8)
+	for i := range c.checkSlab {
+		c.checkPool = append(c.checkPool, &c.checkSlab[i])
 	}
-	c.checkAllocd = len(checkSlab)
+	c.checkAllocd = len(c.checkSlab)
 	// Completion-wheel buckets share one slab; a bucket overflowing its
 	// four-entry reservation grows out of it individually (and keeps the
-	// larger capacity from then on).
-	entrySlab := make([]wheelEntry, wheelSize*4)
-	for b := range c.wheel {
-		c.wheel[b] = entrySlab[b*4 : b*4 : (b+1)*4]
+	// larger capacity from then on, across recycling too).
+	if cap(old.wheel[0]) == 0 {
+		entrySlab := make([]wheelEntry, wheelSize*4)
+		for b := range c.wheel {
+			c.wheel[b] = entrySlab[b*4 : b*4 : (b+1)*4]
+		}
+	} else {
+		for b := range c.wheel {
+			c.wheel[b] = old.wheel[b][:0]
+		}
 	}
-	c.dueBuf = make([]*DynInst, 0, 64)
-	c.rob = make([]*DynInst, 0, 4*cfg.ROBSize+cfg.ROBSize+8)
-	c.lq = make([]*DynInst, 0, 4*cfg.LQSize+cfg.LQSize+8)
-	c.sq = make([]*DynInst, 0, 4*cfg.SQSize+cfg.SQSize+8)
-	c.fetchBuf = make([]*DynInst, 0, 4*cfg.FetchBufSize+cfg.FetchBufSize+8)
+	c.dueBuf = emptied(old.dueBuf, 64)
+	c.rob = emptied(old.rob, 4*cfg.ROBSize+cfg.ROBSize+8)
+	c.lq = emptied(old.lq, 4*cfg.LQSize+cfg.LQSize+8)
+	c.sq = emptied(old.sq, 4*cfg.SQSize+cfg.SQSize+8)
+	c.fetchBuf = emptied(old.fetchBuf, 4*cfg.FetchBufSize+cfg.FetchBufSize+8)
+	c.fenceSeqs = old.fenceSeqs[:0]
+	c.out = old.out[:0]
 	for r := range int32(isa.NumRegs) {
 		c.rat[r] = r
 		c.commitRT[r] = r
@@ -216,6 +312,7 @@ func New(prog *isa.Program, cfg Config, pol Policy) (*Core, error) {
 	}
 	c.regVal[isa.RegSP] = isa.StackTop
 	c.regVal[isa.RegGP] = isa.DataBase
+	c.freeList = emptied(old.freeList, cfg.NumPhysRegs-isa.NumRegs)
 	for p := isa.NumRegs; p < cfg.NumPhysRegs; p++ {
 		c.freeList = append(c.freeList, int32(p))
 	}
@@ -232,7 +329,32 @@ func New(prog *isa.Program, cfg Config, pol Policy) (*Core, error) {
 	}
 	pol.Attach(c)
 	pol.Reset()
-	return c, nil
+	return nil
+}
+
+// sized returns s resliced to length n, reusing its backing array when it is
+// large enough; elements it keeps are not cleared.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// zeroed is sized with every element cleared.
+func zeroed[T any](s []T, n int) []T {
+	s = sized(s, n)
+	clear(s)
+	return s
+}
+
+// emptied returns s truncated to length zero with capacity at least n,
+// reusing its backing array when it is large enough.
+func emptied[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
 }
 
 // Config returns the core configuration.

@@ -68,45 +68,38 @@ func (c *Core) freeCheck(ck *Checkpoint) {
 // CheckInvariants audits the core's recovery-sensitive internal state: the
 // physical-register accounting, the program-order queues, the fence/divider
 // bookkeeping, and the free pools. It exists for tests — in particular the
-// mispredict-storm recovery tests — and is deliberately allowed to allocate.
-// It returns nil when every invariant holds, and may be called at any cycle
-// boundary (between Steps) or after a run completes.
+// mispredict-storm recovery tests — and for the fuzzer, which runs it after
+// every direct run, so it allocates only to format a violation (its scratch
+// is core-owned and survives recycling). It returns nil when every invariant
+// holds, and may be called at any cycle boundary (between Steps) or after a
+// run completes.
 func (c *Core) CheckInvariants() error {
 	// --- physical register accounting -----------------------------------
 	// Every physical register is exactly one of: an architectural mapping
 	// (commitRT image), a live in-flight destination, or free. OldDst values
 	// alias one of the first two until their instruction commits.
-	owner := make([]string, c.cfg.NumPhysRegs)
-	claim := func(p int32, who string) error {
-		if p < 0 || int(p) >= len(owner) {
-			return fmt.Errorf("cpu: invariant: %s claims out-of-range phys reg %d", who, p)
-		}
-		if owner[p] != "" {
-			return fmt.Errorf("cpu: invariant: phys reg %d claimed by both %s and %s", p, owner[p], who)
-		}
-		owner[p] = who
-		return nil
-	}
+	owner := zeroed(c.invOwner, c.cfg.NumPhysRegs)
+	c.invOwner = owner
+	live := c.rob[c.robHead:]
 	for r := 0; r < isa.NumRegs; r++ {
-		if err := claim(c.commitRT[r], fmt.Sprintf("commitRT[%s]", isa.Reg(r))); err != nil {
+		if err := c.claim(owner, c.commitRT[r], ownArch+int32(r)); err != nil {
 			return err
 		}
 	}
-	live := c.rob[c.robHead:]
-	for _, d := range live {
+	for i, d := range live {
 		if d.Dst >= 0 {
-			if err := claim(d.Dst, fmt.Sprintf("seq %d dst", d.Seq)); err != nil {
+			if err := c.claim(owner, d.Dst, ownLive+int32(i)); err != nil {
 				return err
 			}
 		}
 	}
 	for _, p := range c.freeList {
-		if err := claim(p, "freeList"); err != nil {
+		if err := c.claim(owner, p, ownFree); err != nil {
 			return err
 		}
 	}
 	for p, who := range owner {
-		if who == "" {
+		if who == ownNone {
 			return fmt.Errorf("cpu: invariant: phys reg %d leaked (not architectural, live, or free)", p)
 		}
 	}
@@ -117,7 +110,7 @@ func (c *Core) CheckInvariants() error {
 		if p < 0 || int(p) >= len(owner) {
 			return fmt.Errorf("cpu: invariant: rat[%s] = %d out of range", isa.Reg(r), p)
 		}
-		if owner[p] == "freeList" {
+		if owner[p] == ownFree {
 			return fmt.Errorf("cpu: invariant: rat[%s] = %d points at a free register", isa.Reg(r), p)
 		}
 	}
@@ -179,7 +172,11 @@ func (c *Core) CheckInvariants() error {
 	// --- pools ------------------------------------------------------------
 	// No pooled object may still be reachable from a live structure, and the
 	// pool must not hold duplicates.
-	pooled := make(map[*DynInst]bool, len(c.instPool))
+	if c.pooledInst == nil {
+		c.pooledInst = make(map[*DynInst]bool, len(c.instPool))
+	}
+	pooled := c.pooledInst
+	clear(pooled)
 	for _, d := range c.instPool {
 		if pooled[d] {
 			return fmt.Errorf("cpu: invariant: DynInst pooled twice")
@@ -227,7 +224,11 @@ func (c *Core) CheckInvariants() error {
 		return fmt.Errorf("cpu: invariant: %d pooled DynInsts exceed %d ever allocated",
 			len(c.instPool), c.instAllocd)
 	}
-	ckPooled := make(map[*Checkpoint]bool, len(c.checkPool))
+	if c.pooledCheck == nil {
+		c.pooledCheck = make(map[*Checkpoint]bool, len(c.checkPool))
+	}
+	ckPooled := c.pooledCheck
+	clear(ckPooled)
 	for _, ck := range c.checkPool {
 		if ckPooled[ck] {
 			return fmt.Errorf("cpu: invariant: Checkpoint pooled twice")
@@ -244,4 +245,40 @@ func (c *Core) CheckInvariants() error {
 			len(c.checkPool), c.checkAllocd)
 	}
 	return nil
+}
+
+// Register-owner codes in CheckInvariants' owner table: unclaimed, free, an
+// architectural mapping (ownArch + register), or a live destination (ownLive
+// + position in the window). Codes, not names, so a passing audit formats
+// nothing.
+const (
+	ownNone int32 = iota
+	ownFree
+	ownArch
+	ownLive = ownArch + isa.NumRegs
+)
+
+// claim records who as the owner of physical register p, failing if p is
+// out of range or already owned.
+func (c *Core) claim(owner []int32, p, who int32) error {
+	if p < 0 || int(p) >= len(owner) {
+		return fmt.Errorf("cpu: invariant: %s claims out-of-range phys reg %d", c.ownerName(who), p)
+	}
+	if owner[p] != ownNone {
+		return fmt.Errorf("cpu: invariant: phys reg %d claimed by both %s and %s", p, c.ownerName(owner[p]), c.ownerName(who))
+	}
+	owner[p] = who
+	return nil
+}
+
+// ownerName renders an owner code for an invariant message.
+func (c *Core) ownerName(who int32) string {
+	switch {
+	case who == ownFree:
+		return "freeList"
+	case who < ownLive:
+		return fmt.Sprintf("commitRT[%s]", isa.Reg(who-ownArch))
+	default:
+		return fmt.Sprintf("seq %d dst", c.rob[c.robHead+int(who-ownLive)].Seq)
+	}
 }

@@ -79,6 +79,18 @@ func NewPredictor(cfg PredConfig) *Predictor {
 	}
 }
 
+// Reset returns the predictor to its just-built state in place: counters,
+// history, BTB, return stack, the degraded-predictor draw and the lookup
+// counters. A recycled core resets its predictor instead of building one.
+func (p *Predictor) Reset() {
+	clear(p.pht)
+	clear(p.btbTag)
+	clear(p.btbTgt)
+	clear(p.ras)
+	p.history, p.rasTop, p.forceLCG = 0, 0, 0
+	p.Lookups, p.CondPredict = 0, 0
+}
+
 func (p *Predictor) phtIndex(pc uint64) int {
 	h := p.history & (1<<uint(p.cfg.HistoryBits) - 1)
 	return int((pc/8 ^ h) & (1<<uint(p.cfg.GShareBits) - 1))

@@ -1,6 +1,9 @@
 package cpu
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // train predicts pc and applies the actual outcome the way the core does:
 // PHT update at commit plus history repair on a misprediction.
@@ -118,6 +121,24 @@ func TestForcedMispredictRateDegrades(t *testing.T) {
 	// half the predictions are random, so ~25%+ should be wrong.
 	if wrong < 200 {
 		t.Errorf("forced mispredict rate had no effect: %d/2000 wrong", wrong)
+	}
+}
+
+// TestPredictorReset checks that a trained predictor reset in place equals
+// a newly built one in every field, the degraded-predictor draw included.
+func TestPredictorReset(t *testing.T) {
+	cfg := DefaultPredConfig()
+	cfg.ForceMispredictRate = 0.3
+	p := NewPredictor(cfg)
+	for i := range 500 {
+		pc := uint64(0x1000 + 8*(i%37))
+		train(p, pc, i%3 == 0)
+		p.UpdateIndirect(pc, pc+64)
+		p.PushRAS(pc)
+	}
+	p.Reset()
+	if fresh := NewPredictor(cfg); !reflect.DeepEqual(p, fresh) {
+		t.Errorf("reset predictor differs from a new one:\n got  %+v\n want %+v", p, fresh)
 	}
 }
 

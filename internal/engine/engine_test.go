@@ -193,3 +193,68 @@ func TestBuildConfigOverrides(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// panicMem is a memory system whose every visible load panics.
+type panicMem struct{ cpu.MemSystem }
+
+func (panicMem) LoadLatency(uint64) int { panic("injected load fault") }
+
+// TestSimulateDoesNotPoolPanickedCore checks that a core whose run
+// panicked never returns to cpu.New's pool, while one whose run completed
+// does. Cores are told apart by the memory hierarchy they carry, which a
+// recycled core reuses.
+func TestSimulateDoesNotPoolPanickedCore(t *testing.T) {
+	prog, _, err := Compile("hist.lc", histSrc, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var built cpu.MemSystem
+	config := func(panics bool) cpu.Config {
+		cfg := cpu.DefaultConfig()
+		cfg.WrapMem = func(ms cpu.MemSystem) cpu.MemSystem {
+			built = ms
+			if panics {
+				return panicMem{ms}
+			}
+			return ms
+		}
+		return cfg
+	}
+	// newHier builds n cores without releasing them and returns the
+	// hierarchies they carry.
+	newHier := func(n int) []cpu.MemSystem {
+		var out []cpu.MemSystem
+		for range n {
+			if _, err := cpu.New(prog, config(false), cpu.NopPolicy{}); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, built)
+		}
+		return out
+	}
+
+	// A completed run pools its core (sync.Pool may drop one, at random
+	// under the race detector, so allow a few tries).
+	pooled := false
+	for try := 0; try < 20 && !pooled; try++ {
+		if _, err := Simulate(context.Background(), prog, config(false), "levioso"); err != nil {
+			t.Fatal(err)
+		}
+		ran := built
+		pooled = newHier(1)[0] == ran
+	}
+	if !pooled {
+		t.Fatal("no completed run's core was reused")
+	}
+
+	_, err = Simulate(context.Background(), prog, config(true), "levioso")
+	if !errors.Is(err, simerr.ErrPanic) {
+		t.Fatalf("want a recovered panic, got %v", err)
+	}
+	panicked := built
+	for _, h := range newHier(4) {
+		if h == panicked {
+			t.Fatal("cpu.New reused the core whose run panicked")
+		}
+	}
+}

@@ -161,7 +161,8 @@ func Listing(prog *isa.Program) string { return asm.Listing(prog) }
 // panic anywhere inside — the core, a policy, an injected fault — is
 // recovered into simerr.ErrPanic, so one bad run cannot take down a sweep
 // supervisor or a serving daemon. Unknown policies and invalid
-// configurations surface as simerr.KindBuild.
+// configurations surface as simerr.KindBuild. The core goes back to
+// cpu.New's pool after a run that did not panic.
 func Simulate(ctx context.Context, prog *isa.Program, cfg cpu.Config, policy string) (res cpu.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -180,7 +181,9 @@ func Simulate(ctx context.Context, prog *isa.Program, cfg cpu.Config, policy str
 	if err != nil {
 		return cpu.Result{}, &simerr.RunError{Kind: simerr.KindBuild, Detail: "core construction failed", Err: err}
 	}
-	return c.RunContext(ctx)
+	res, err = c.RunContext(ctx)
+	c.Release()
+	return res, err
 }
 
 // Reference runs prog on the functional reference interpreter with

@@ -265,7 +265,8 @@ func replanted(c *Case) *Case {
 // configuration engineRun uses plus plan, so the post-run core can be
 // inspected: a completed run must pass CheckInvariants. Failures, invariant
 // violations and panics are reported under stage; ok is false when the run
-// produced no result to judge further.
+// produced no result to judge further. The core goes back to cpu.New's pool
+// unless the run or the audit panicked.
 func directRun(ctx context.Context, v *Verdict, c *Case, pol, stage string, maxCycles uint64, opt Options, plan *faultinject.Plan) (res cpu.Result, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -287,6 +288,11 @@ func directRun(ctx context.Context, v *Verdict, c *Case, pol, stage string, maxC
 	defer cancel()
 	res, err = core.RunContext(rctx)
 	v.Execs++
+	var ierr error
+	if err == nil {
+		ierr = core.CheckInvariants()
+	}
+	core.Release()
 	if err != nil {
 		f, skip := classifyRunErr(pol, err)
 		if skip {
@@ -297,7 +303,7 @@ func directRun(ctx context.Context, v *Verdict, c *Case, pol, stage string, maxC
 		v.add(f)
 		return res, false
 	}
-	if ierr := core.CheckInvariants(); ierr != nil {
+	if ierr != nil {
 		v.add(Finding{Oracle: OracleInvariants, Policy: pol, Kind: stage, Detail: ierr.Error()})
 	}
 	return res, true

@@ -144,3 +144,12 @@ func (c *Cache) Flush(addr uint64) {
 func (c *Cache) InvalidateAll() {
 	clear(c.ways)
 }
+
+// Reset returns the cache to its just-built state: no resident lines, the
+// LRU clock at zero and every counter cleared. A recycled core resets its
+// caches instead of building new ones.
+func (c *Cache) Reset() {
+	clear(c.ways)
+	c.stamp = 0
+	c.Stats = CacheStats{}
+}

@@ -51,6 +51,23 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCacheReset checks that a used cache reset in place is
+// indistinguishable from a newly built one: same lines, LRU clock and
+// counters, and so the same replacement decisions afterwards.
+func TestCacheReset(t *testing.T) {
+	c := smallCache()
+	for _, a := range []uint64{0x0, 0x80, 0x100, 0x40} {
+		c.Lookup(a)
+		c.Fill(a)
+	}
+	c.Flush(0x40)
+	c.Reset()
+	fresh := smallCache()
+	if !slices.Equal(c.ways, fresh.ways) || c.stamp != fresh.stamp || c.Stats != fresh.Stats {
+		t.Fatalf("reset cache differs from a new one: stamp %d stats %+v", c.stamp, c.Stats)
+	}
+}
+
 func TestCacheProbeIsPure(t *testing.T) {
 	c := smallCache()
 	c.Fill(0x0)

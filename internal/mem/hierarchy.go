@@ -62,6 +62,15 @@ func NewHierarchy(cfg HierConfig, phys *Memory) (*Hierarchy, error) {
 	}, nil
 }
 
+// Reset empties all three caches (see Cache.Reset) and puts the hierarchy
+// over phys, leaving it as NewHierarchy(h.Cfg, phys) would build it.
+func (h *Hierarchy) Reset(phys *Memory) {
+	h.L1I.Reset()
+	h.L1D.Reset()
+	h.L2.Reset()
+	h.Phys = phys
+}
+
 // FetchLatency performs an instruction fetch at addr: returns the access
 // latency and fills the I-side caches.
 func (h *Hierarchy) FetchLatency(addr uint64) int {

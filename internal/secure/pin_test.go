@@ -51,6 +51,11 @@ func runPinned(t *testing.T, kernel, spec string, prog *isa.Program, pol cpu.Pol
 	if err != nil {
 		t.Fatalf("%s under %s: %v", kernel, spec, err)
 	}
+	return pinLine(kernel, spec, cov, res, &sink)
+}
+
+// pinLine renders a run's golden line.
+func pinLine(kernel, spec string, cov bool, res cpu.Result, sink *cpu.CoverageSink) string {
 	var bits []byte
 	for _, w := range sink.Bits {
 		bits = binary.LittleEndian.AppendUint64(bits, w)
