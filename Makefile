@@ -48,9 +48,13 @@ benchsmoke:
 # It first runs the full pinned-results matrix (every suite kernel under
 # every policy configuration, coverage on and off, against
 # internal/secure/testdata/sweep_stats.golden, with the policy Decide
-# contract checked), without -race so all twelve kernels run.
+# contract checked), without -race so all twelve kernels run, and then
+# diffs all ten experiments at test scale (levbench -size test, including
+# the ROB, mispredict and BDT sweeps on non-default cores) against
+# testdata/levbench_test_output.txt.
 golden:
 	$(GO) test -count=1 -run TestSweepStatsPinned ./internal/secure
+	$(GO) test -count=1 -run TestLevbenchTestGolden .
 	$(GO) run ./cmd/levbench -exp charact -size ref > .golden_charact.out
 	awk '/^==> experiment charact$$/{f=1;next} /^==> experiment /{f=0} f' \
 		levbench_ref_output.txt | diff - .golden_charact.out

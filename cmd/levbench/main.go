@@ -52,6 +52,11 @@ func run() int {
 	profiles := prof.Register(flag.CommandLine)
 	metrics := cli.RegisterMetrics(flag.CommandLine)
 	flag.Parse()
+	if *retries < 0 || *runTimeout < 0 {
+		fmt.Fprintf(os.Stderr, "levbench: -retries (%d) and -run-timeout (%v) must not be negative\n",
+			*retries, *runTimeout)
+		return 2
+	}
 	defer func() { cli.DumpMetrics("levbench", *metrics) }()
 
 	if *list {

@@ -5,10 +5,14 @@ package levioso
 // ci import gate), so this file drives exactly what they drive: the engine's
 // Compile step on an example program, simulation under two policies, and a
 // golden check of the architectural output — which must be identical across
-// policies and match the precomputed expectation byte for byte.
+// policies and match the precomputed expectation byte for byte. One test
+// builds cmd/levbench itself, to check its flag validation and exit status.
 
 import (
 	"context"
+	"errors"
+	"os/exec"
+	"path/filepath"
 	"testing"
 
 	"levioso/internal/engine"
@@ -79,5 +83,32 @@ func TestCmdPipelineGolden(t *testing.T) {
 	}
 	if rres.Output != e2eWantOutput || rres.ExitCode != e2eWantExit {
 		t.Errorf("reference run diverges from golden: %+v", rres)
+	}
+}
+
+// TestLevbenchRejectsNegativeFlags: a negative retry count or per-run timeout
+// is a usage error (exit 2) before any experiment runs, not a quiet single
+// attempt or an unbounded run.
+func TestLevbenchRejectsNegativeFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds cmd/levbench")
+	}
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go tool to build cmd/levbench with")
+	}
+	bin := filepath.Join(t.TempDir(), "levbench")
+	if out, err := exec.Command(goTool, "build", "-o", bin, "./cmd/levbench").CombinedOutput(); err != nil {
+		t.Fatalf("build levbench: %v\n%s", err, out)
+	}
+	for _, args := range [][]string{
+		{"-exp", "config", "-retries", "-1"},
+		{"-exp", "config", "-run-timeout", "-1s"},
+	} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("levbench %v: %v, want exit status 2\n%s", args, err, out)
+		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package dispatch is the fault-tolerant batch execution tier: a
 // coordinator sharding simulation cells across a pool of workers, with
-// per-cell retries, hedging, per-worker circuit breakers, crash-loop-bounded
-// automatic restarts, admission control, and a content-addressed shared
-// result cache.
+// per-cell retries, per-worker circuit breakers, crash-loop-bounded
+// automatic restarts, admission control with slots granted in admission
+// order, and a content-addressed shared result cache.
 //
 // The design leans on one property end to end: the simulator is a
 // deterministic pure function of (program, policy, config). That makes
@@ -14,18 +14,19 @@
 // limits) are the cell's own fault, charged to the cell and never to the
 // worker that faithfully reported them.
 //
-// Worker ownership is a token-in-channel discipline: each worker slot's
-// token lives in the ready channel exactly when the slot is idle and
-// trusted. Acquire is a channel receive; completion routes the token
-// through breaker/restart logic back to the channel. This gives
-// single-in-flight per worker (the stdio protocol requires it) without a
-// lock-ordering problem in sight.
+// Worker ownership is a token discipline: each worker slot sits in the idle
+// list exactly when it is idle and trusted. A slot is granted to one ticket
+// at a time, in ticket order; completion routes the slot through
+// breaker/restart logic back to the idle list. This gives single-in-flight
+// per worker (the stdio protocol requires it) and first-come-first-served
+// grants, under one mutex.
 package dispatch
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -38,7 +39,7 @@ import (
 )
 
 // Config sizes the coordinator. The zero value is usable: in-process
-// workers, modest pool, retries and breakers on, hedging off.
+// workers, modest pool, retries and breakers on.
 type Config struct {
 	// Workers is the number of worker slots. Default 4.
 	Workers int
@@ -51,9 +52,6 @@ type Config struct {
 	// Backoff is the base retry delay, doubled per attempt (capped at
 	// Backoff<<6) with ±50% jitter. Default 50ms.
 	Backoff time.Duration
-	// HedgeAfter launches a second attempt of a still-running cell on an
-	// idle worker after this delay; first result wins. 0 disables hedging.
-	HedgeAfter time.Duration
 
 	// BreakerThreshold is the consecutive-transient-failure streak that
 	// trips a worker's breaker open. Default 3.
@@ -74,10 +72,6 @@ type Config struct {
 	// CacheEntries sizes the shared content-addressed result cache.
 	// Default 1024; negative disables caching.
 	CacheEntries int
-
-	// ProbeInterval pings idle workers this often, restarting any that
-	// fail. 0 disables probing.
-	ProbeInterval time.Duration
 
 	// Registry receives the dispatch metrics. Default obs.Default().
 	Registry *obs.Registry
@@ -167,16 +161,31 @@ type flight struct {
 }
 
 // Coordinator shards cells across the worker pool. Safe for concurrent use.
+//
+// Slots are granted in admission order. Admit hands out consecutive
+// tickets, and a free slot goes to ticket turn — to nobody while that
+// ticket's cell has not asked yet (a batch cell still compiling), so a later
+// ticket never overtakes an earlier one. A ticket is used up once: by its
+// grant, or by withdrawal when its cell ends without needing a slot (a cache
+// hit, a single-flight duplicate, a wait given up). A retry's ticket is used
+// up, so the retry draws a fresh one and queues behind every cell admitted
+// before it.
 type Coordinator struct {
 	cfg   Config
 	slots []*slot
-	ready chan *slot
 	cache *resultCache
+
+	gmu     sync.Mutex
+	idle    []*slot               // idle, trusted slots, longest idle first
+	next    uint64                // the ticket Admit hands out next
+	turn    uint64                // the ticket the next free slot goes to
+	waiting map[uint64]chan *slot // tickets whose cells wait in acquire
+	gone    map[uint64]bool       // withdrawn tickets turn has not reached
+	pending atomic.Int64          // admitted-but-unreleased cells; written under gmu
 
 	fmu     sync.Mutex
 	flights map[string]*flight
 
-	pending  atomic.Int64
 	alive    atomic.Int64
 	allDead  chan struct{}
 	deadOnce sync.Once
@@ -190,7 +199,6 @@ type Coordinator struct {
 
 	mCells        *obs.CounterVec // outcome: ok | cached | failure kind
 	mRetries      *obs.Counter
-	mHedges       *obs.Counter
 	mShed         *obs.Counter
 	mRestarts     *obs.Counter
 	mBreakerTrips *obs.Counter
@@ -209,8 +217,9 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 	c := cfg.withDefaults()
 	co := &Coordinator{
 		cfg:     c,
-		ready:   make(chan *slot, c.Workers),
 		cache:   newResultCache(c.CacheEntries),
+		waiting: make(map[uint64]chan *slot),
+		gone:    make(map[uint64]bool),
 		flights: make(map[string]*flight),
 		allDead: make(chan struct{}),
 		closeCh: make(chan struct{}),
@@ -219,7 +228,6 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 	r := c.Registry
 	co.mCells = r.CounterVec("dispatch_cells_total", "Batch cells by final outcome.", "outcome")
 	co.mRetries = r.Counter("dispatch_retries_total", "Cell attempts beyond the first.")
-	co.mHedges = r.Counter("dispatch_hedges_total", "Hedged duplicate attempts launched.")
 	co.mShed = r.Counter("dispatch_shed_total", "Cells rejected by admission control.")
 	co.mRestarts = r.Counter("dispatch_worker_restarts_total", "Worker restarts after transport failures.")
 	co.mBreakerTrips = r.Counter("dispatch_breaker_trips_total", "Circuit breakers tripped open.")
@@ -240,7 +248,7 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 		if err == nil {
 			s.w = w
 			started++
-			co.ready <- s
+			co.requeue(s)
 			continue
 		}
 		// First spawn failed: hand the slot to the restart path.
@@ -255,20 +263,17 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 	if started == 0 && c.Workers > 0 {
 		// Give the async respawns a moment only in the degenerate all-failed
 		// case; if nothing comes up the pool is useless.
-		select {
-		case s := <-co.ready:
-			co.ready <- s
-		case <-time.After(helloTimeout):
+		wctx, cancel := context.WithTimeout(ctx, helloTimeout)
+		s, err := co.acquire(wctx, freshTicket)
+		cancel()
+		if err != nil {
 			co.Close()
+			if errors.Is(err, ErrAllWorkersDead) {
+				return nil, err
+			}
 			return nil, fmt.Errorf("dispatch: no worker could be started")
-		case <-co.allDead:
-			co.Close()
-			return nil, ErrAllWorkersDead
 		}
-	}
-	if c.ProbeInterval > 0 {
-		co.wg.Add(1)
-		go co.probeLoop()
+		co.requeue(s)
 	}
 	return co, nil
 }
@@ -295,37 +300,72 @@ func (co *Coordinator) Close() error {
 
 // ---- admission control ----
 
-// Admit reserves n cells of queue capacity, shedding with a *ShedError when
-// the queue is full. Callers must Release what they Admit.
-func (co *Coordinator) Admit(n int) error {
-	if co.closed.Load() {
-		return errClosed
-	}
-	cap := int64(co.cfg.QueueDepth)
-	if cap < 0 {
-		co.mQueueDepth.Set(co.pending.Add(int64(n)))
-		return nil
-	}
-	for {
-		cur := co.pending.Load()
-		if cur+int64(n) > cap {
-			co.mShed.Add(uint64(n))
-			return &ShedError{
-				Pending:  cur,
-				Capacity: cap,
-				cause:    simerr.New(simerr.KindShed, "%d pending of %d capacity", cur, cap),
-			}
-		}
-		if co.pending.CompareAndSwap(cur, cur+int64(n)) {
-			co.mQueueDepth.Set(cur + int64(n))
-			return nil
-		}
-	}
+// Admission is a block of admitted cells, numbered 0..n-1 in the order their
+// first attempts are granted slots. Each cell either runs through Execute or
+// gives up its place with Withdraw; Release returns the block's capacity
+// once all of them are done.
+type Admission struct {
+	co    *Coordinator
+	first uint64
+	n     int
 }
 
-// Release returns n units of admitted capacity.
-func (co *Coordinator) Release(n int) {
-	co.mQueueDepth.Set(co.pending.Add(-int64(n)))
+// Admit reserves n cells of queue capacity and the next n tickets, shedding
+// with a *ShedError when the queue is full.
+func (co *Coordinator) Admit(n int) (*Admission, error) {
+	if co.closed.Load() {
+		return nil, errClosed
+	}
+	co.gmu.Lock()
+	defer co.gmu.Unlock()
+	cur := co.pending.Load()
+	if cap := int64(co.cfg.QueueDepth); cap >= 0 && cur+int64(n) > cap {
+		co.mShed.Add(uint64(n))
+		return nil, &ShedError{
+			Pending:  cur,
+			Capacity: cap,
+			cause:    simerr.New(simerr.KindShed, "%d pending of %d capacity", cur, cap),
+		}
+	}
+	co.pending.Store(cur + int64(n))
+	co.mQueueDepth.Set(cur + int64(n))
+	a := &Admission{co: co, first: co.next, n: n}
+	co.next += uint64(n)
+	return a, nil
+}
+
+// Execute runs cell i of the admission through the cache and the retry loop.
+func (a *Admission) Execute(ctx context.Context, i int, cell *Cell) (*engine.Result, error) {
+	t := a.first + uint64(i)
+	defer a.co.withdraw(t)
+	res, err := a.co.run(ctx, cell, t)
+	switch {
+	case err == nil && res.Cached:
+		a.co.mCells.With("cached").Inc()
+	case err == nil:
+		a.co.mCells.With("ok").Inc()
+	default:
+		a.co.mCells.With(simerr.KindOf(err).String()).Inc()
+	}
+	return res, err
+}
+
+// Withdraw gives up cell i's place in the grant order, so the cells behind
+// it stop waiting for it. A cell that fails before it reaches Execute must
+// withdraw; once the cell has been granted a slot it is a no-op.
+func (a *Admission) Withdraw(i int) { a.co.withdraw(a.first + uint64(i)) }
+
+// Release returns the admission's capacity and withdraws any of its cells
+// still holding a place. Call it once, after every cell has finished.
+func (a *Admission) Release() {
+	co := a.co
+	co.gmu.Lock()
+	defer co.gmu.Unlock()
+	for t := a.first; t < a.first+uint64(a.n); t++ {
+		co.withdrawLocked(t)
+	}
+	co.grant()
+	co.mQueueDepth.Set(co.pending.Add(-int64(a.n)))
 }
 
 // Pending reports the admitted-but-unfinished cell count (for the 503
@@ -337,29 +377,14 @@ func (co *Coordinator) QueueDepth() int { return co.cfg.QueueDepth }
 
 // ---- execution ----
 
-// Execute runs one cell through admission, cache, and the retry loop.
+// Execute admits one cell and runs it through the cache and the retry loop.
 func (co *Coordinator) Execute(ctx context.Context, cell *Cell) (*engine.Result, error) {
-	if err := co.Admit(1); err != nil {
+	a, err := co.Admit(1)
+	if err != nil {
 		return nil, err
 	}
-	defer co.Release(1)
-	return co.ExecuteAdmitted(ctx, cell)
-}
-
-// ExecuteAdmitted runs one cell whose capacity was already reserved via
-// Admit — the batch path admits the whole batch up front so a batch can
-// never shed its own cells halfway through.
-func (co *Coordinator) ExecuteAdmitted(ctx context.Context, cell *Cell) (*engine.Result, error) {
-	res, err := co.run(ctx, cell)
-	switch {
-	case err == nil && res.Cached:
-		co.mCells.With("cached").Inc()
-	case err == nil:
-		co.mCells.With("ok").Inc()
-	default:
-		co.mCells.With(simerr.KindOf(err).String()).Inc()
-	}
-	return res, err
+	defer a.Release()
+	return a.Execute(ctx, 0, cell)
 }
 
 // run is the cache + single-flight front of the retry loop. Identical cells
@@ -368,13 +393,13 @@ func (co *Coordinator) ExecuteAdmitted(ctx context.Context, cell *Cell) (*engine
 // its flight and share the outcome. Dedup sits *before* the shared result
 // cache, so a batch of repeats costs one simulation, not one per repeat that
 // raced past a still-empty cache entry.
-func (co *Coordinator) run(ctx context.Context, cell *Cell) (*engine.Result, error) {
+func (co *Coordinator) run(ctx context.Context, cell *Cell, t uint64) (*engine.Result, error) {
 	if err := cell.Overrides.Normalize(); err != nil {
 		return nil, err // permanent: bad cell, no attempt consumed
 	}
 	key, cacheable := resultKey(ctx, cell)
 	if !cacheable {
-		return co.runAttempts(ctx, cell)
+		return co.runAttempts(ctx, cell, t)
 	}
 	for {
 		co.fmu.Lock()
@@ -386,6 +411,7 @@ func (co *Coordinator) run(ctx context.Context, cell *Cell) (*engine.Result, err
 		}
 		if f, ok := co.flights[key]; ok {
 			co.fmu.Unlock()
+			co.withdraw(t) // a duplicate holds no place while it waits
 			select {
 			case <-f.done:
 			case <-ctx.Done():
@@ -414,7 +440,7 @@ func (co *Coordinator) run(ctx context.Context, cell *Cell) (*engine.Result, err
 		co.mCacheMisses.Inc()
 		co.fmu.Unlock()
 
-		res, err := co.runAttempts(ctx, cell)
+		res, err := co.runAttempts(ctx, cell, t)
 		if err == nil {
 			co.cache.Put(key, *res)
 		}
@@ -429,7 +455,8 @@ func (co *Coordinator) run(ctx context.Context, cell *Cell) (*engine.Result, err
 
 // runAttempts is the per-cell retry loop: transient failures retry with
 // exponential backoff up to MaxAttempts, permanent failures return at once.
-func (co *Coordinator) runAttempts(ctx context.Context, cell *Cell) (*engine.Result, error) {
+// Attempts run one after another, the first on ticket t.
+func (co *Coordinator) runAttempts(ctx context.Context, cell *Cell, t uint64) (*engine.Result, error) {
 	var lastErr error
 	for attempt := 1; attempt <= co.cfg.MaxAttempts; attempt++ {
 		if attempt > 1 {
@@ -438,7 +465,7 @@ func (co *Coordinator) runAttempts(ctx context.Context, cell *Cell) (*engine.Res
 				return nil, err
 			}
 		}
-		res, err := co.attempt(ctx, cell)
+		res, err := co.attempt(ctx, cell, t)
 		if err == nil {
 			return res, nil
 		}
@@ -498,66 +525,28 @@ func (co *Coordinator) sleepBackoff(ctx context.Context, attempt int) error {
 	}
 }
 
-// attempt runs the cell once, with an optional hedge: if the primary is
-// still running after HedgeAfter and an idle worker exists, a duplicate
-// launches and the first completion wins. The loser runs to completion on
-// its own worker (cancelling a stdio call would poison the worker — worse
-// than finishing a deterministic simulation) and its result is discarded.
-func (co *Coordinator) attempt(ctx context.Context, cell *Cell) (*engine.Result, error) {
-	s, err := co.acquire(ctx)
+// attempt runs the cell once, on the slot granted to ticket t.
+func (co *Coordinator) attempt(ctx context.Context, cell *Cell, t uint64) (*engine.Result, error) {
+	s, err := co.acquire(ctx, t)
 	if err != nil {
 		return nil, err
 	}
-	type outcome struct {
-		res *engine.Result
-		err error
+	res, err := co.runOnSlot(ctx, s, cell)
+	if err != nil && ctx.Err() != nil {
+		// The caller gave up mid-call: report that, not how the worker noticed.
+		return nil, simerr.New(simerr.KindDeadline, "dispatch: %v", ctx.Err())
 	}
-	out := make(chan outcome, 2)
-	runOn := func(s *slot) {
-		res, err := co.runOnSlot(ctx, s, cell)
-		out <- outcome{res, err}
-	}
-	go runOn(s)
-
-	outstanding := 1
-	var hedgeC <-chan time.Time
-	if co.cfg.HedgeAfter > 0 {
-		t := time.NewTimer(co.cfg.HedgeAfter)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-	var lastErr error
-	for outstanding > 0 {
-		select {
-		case o := <-out:
-			outstanding--
-			if o.err == nil {
-				return o.res, nil
-			}
-			lastErr = o.err
-		case <-hedgeC:
-			hedgeC = nil
-			if h, ok := co.tryAcquire(); ok {
-				co.mHedges.Inc()
-				outstanding++
-				go runOn(h)
-			}
-		case <-ctx.Done():
-			// Outstanding attempts clean their own slots up via runOnSlot.
-			return nil, simerr.New(simerr.KindDeadline, "dispatch: %v", ctx.Err())
-		}
-	}
-	return nil, lastErr
+	return res, err
 }
 
 // runOnSlot executes the cell on the slot's current worker and routes the
-// slot through breaker/restart accounting back toward the ready queue.
+// slot through breaker/restart accounting back toward the idle list.
 func (co *Coordinator) runOnSlot(ctx context.Context, s *slot, cell *Cell) (*engine.Result, error) {
 	s.mu.Lock()
 	w := s.w
 	s.mu.Unlock()
 	if w == nil {
-		// Shouldn't happen (only live slots are in the ready queue), but
+		// Shouldn't happen (only live slots are ever idle), but
 		// never wedge: route through the restart path.
 		co.finish(s, true, true)
 		return nil, transportErr("slot %s has no worker", s.id)
@@ -676,96 +665,109 @@ func (co *Coordinator) markDead(s *slot) {
 	}
 }
 
-// acquire blocks until an idle, trusted worker slot is available.
-func (co *Coordinator) acquire(ctx context.Context) (*slot, error) {
-	select {
-	case s := <-co.ready:
-		return s, nil
-	default:
+// freshTicket asks acquire for a new ticket at the back of the order.
+const freshTicket = math.MaxUint64
+
+// acquire blocks until ticket t's turn comes and an idle, trusted slot is
+// free. A used-up ticket (a retry, a single-flight duplicate taking over as
+// leader) is replaced by a fresh one.
+func (co *Coordinator) acquire(ctx context.Context, t uint64) (*slot, error) {
+	ch := make(chan *slot, 1)
+	co.gmu.Lock()
+	if t < co.turn || t >= co.next || co.gone[t] {
+		t = co.next
+		co.next++
 	}
+	co.waiting[t] = ch
+	co.grant()
+	co.gmu.Unlock()
+	var err error
 	select {
-	case s := <-co.ready:
+	case s := <-ch:
 		return s, nil
 	case <-ctx.Done():
-		return nil, &simerr.RunError{Kind: simerr.KindDeadline, Detail: ctx.Err().Error(), Err: ErrQueueTimeout}
+		err = &simerr.RunError{Kind: simerr.KindDeadline, Detail: ctx.Err().Error(), Err: ErrQueueTimeout}
 	case <-co.allDead:
-		return nil, ErrAllWorkersDead
+		err = ErrAllWorkersDead
 	case <-co.closeCh:
-		return nil, errClosed
+		err = errClosed
+	}
+	co.gmu.Lock()
+	if _, ok := co.waiting[t]; ok {
+		delete(co.waiting, t)
+		co.gone[t] = true
+	} else {
+		co.idle = append(co.idle, <-ch) // granted as we gave up: pass it on
+	}
+	co.grant()
+	co.gmu.Unlock()
+	return nil, err
+}
+
+// grant hands idle slots to waiting tickets in ticket order, skipping
+// withdrawn ones. It stops at a ticket whose cell has not asked yet. The
+// caller holds gmu.
+func (co *Coordinator) grant() {
+	for {
+		if co.gone[co.turn] {
+			delete(co.gone, co.turn)
+			co.turn++
+			continue
+		}
+		ch, ok := co.waiting[co.turn]
+		if !ok || len(co.idle) == 0 {
+			return
+		}
+		delete(co.waiting, co.turn)
+		co.turn++
+		ch <- co.idle[0]
+		co.idle = co.idle[1:]
 	}
 }
 
-// tryAcquire grabs an idle slot without waiting (hedges and probes must
-// never steal capacity from primary attempts that are blocked waiting).
-func (co *Coordinator) tryAcquire() (*slot, bool) {
-	select {
-	case s := <-co.ready:
-		return s, true
-	default:
-		return nil, false
+// withdraw gives up ticket t if it is still unused, so the tickets behind it
+// stop waiting for it.
+func (co *Coordinator) withdraw(t uint64) {
+	co.gmu.Lock()
+	co.withdrawLocked(t)
+	co.grant()
+	co.gmu.Unlock()
+}
+
+func (co *Coordinator) withdrawLocked(t uint64) {
+	if _, waiting := co.waiting[t]; t >= co.turn && t < co.next && !waiting {
+		co.gone[t] = true
 	}
 }
 
 // TryHold reserves an idle worker slot without waiting, for work that runs
 // outside the coordinator but must count against its capacity (a fuzz
-// campaign). ok is false when every slot is busy. release hands the slot
+// campaign). ok is false when every slot is busy or an admitted cell is
+// still due a slot: holding never jumps the queue. release hands the slot
 // back; calling it more than once is harmless.
 func (co *Coordinator) TryHold() (release func(), ok bool) {
-	s, ok := co.tryAcquire()
-	if !ok {
+	co.gmu.Lock()
+	if co.turn != co.next || len(co.idle) == 0 {
+		co.gmu.Unlock()
 		return nil, false
 	}
+	s := co.idle[0]
+	co.idle = co.idle[1:]
+	co.gmu.Unlock()
 	var once sync.Once
 	return func() { once.Do(func() { co.requeue(s) }) }, true
 }
 
-// requeue returns a slot token to the ready queue (capacity = pool size, so
-// this never blocks).
+// requeue returns a slot to the idle list and grants it on if a ticket is
+// waiting.
 func (co *Coordinator) requeue(s *slot) {
+	co.gmu.Lock()
+	defer co.gmu.Unlock()
 	if co.closed.Load() {
 		return
 	}
-	co.ready <- s
-}
-
-// ---- health probing ----
-
-// probeLoop periodically pings idle workers; a failed ping sends the slot
-// through the normal transport-failure restart path before any cell is
-// wasted on it.
-func (co *Coordinator) probeLoop() {
-	defer co.wg.Done()
-	t := time.NewTicker(co.cfg.ProbeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-co.closeCh:
-			return
-		case <-t.C:
-		}
-		// Probe every currently-idle slot, at most one pass per tick.
-		probed := make([]*slot, 0, len(co.slots))
-		for {
-			s, ok := co.tryAcquire()
-			if !ok {
-				break
-			}
-			probed = append(probed, s)
-		}
-		for _, s := range probed {
-			s.mu.Lock()
-			w := s.w
-			s.mu.Unlock()
-			if w == nil {
-				co.finish(s, true, true)
-				continue
-			}
-			pctx, cancel := context.WithTimeout(context.Background(), co.cfg.ProbeInterval)
-			err := w.Ping(pctx)
-			cancel()
-			co.finish(s, err != nil, err != nil)
-		}
-	}
+	co.idle = append(co.idle, s)
+	co.grant()
 }
 
 // ---- introspection ----
@@ -792,7 +794,6 @@ type Stats struct {
 	WorkersAlive int64       `json:"workers_alive"`
 	Pending      int64       `json:"pending"`
 	Retries      uint64      `json:"retries"`
-	Hedges       uint64      `json:"hedges"`
 	Shed         uint64      `json:"shed"`
 	Restarts     uint64      `json:"worker_restarts"`
 	BreakerTrips uint64      `json:"breaker_trips"`
@@ -807,7 +808,6 @@ func (co *Coordinator) Snapshot() Stats {
 		WorkersAlive: co.alive.Load(),
 		Pending:      co.pending.Load(),
 		Retries:      co.mRetries.Value(),
-		Hedges:       co.mHedges.Value(),
 		Shed:         co.mShed.Value(),
 		Restarts:     co.mRestarts.Value(),
 		BreakerTrips: co.mBreakerTrips.Value(),

@@ -3,12 +3,15 @@ package dispatch
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"levioso/internal/cpu"
 	"levioso/internal/engine"
 	"levioso/internal/isa"
 	"levioso/internal/obs"
@@ -161,9 +164,8 @@ func (w *flakyWorker) Execute(ctx context.Context, c *Cell) (*engine.Result, err
 	}
 	return w.real.Execute(ctx, c)
 }
-func (w *flakyWorker) Ping(ctx context.Context) error { return w.real.Ping(ctx) }
-func (w *flakyWorker) Kill()                          { w.real.Kill() }
-func (w *flakyWorker) Close() error                   { return w.real.Close() }
+func (w *flakyWorker) Kill()        { w.real.Kill() }
+func (w *flakyWorker) Close() error { return w.real.Close() }
 
 // TestRetriesRecoverTransient: transient failures burn retries, then the
 // cell completes with the right answer.
@@ -262,10 +264,11 @@ func TestCrashLoopBudgetExhaustion(t *testing.T) {
 // transient, introspectable shed error.
 func TestAdmissionControlSheds(t *testing.T) {
 	co := testCoordinator(t, Config{Workers: 1, QueueDepth: 2})
-	if err := co.Admit(2); err != nil {
+	adm, err := co.Admit(2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	err := co.Admit(1)
+	_, err = co.Admit(1)
 	var shed *ShedError
 	if !errors.As(err, &shed) {
 		t.Fatalf("want *ShedError, got %v", err)
@@ -276,11 +279,12 @@ func TestAdmissionControlSheds(t *testing.T) {
 	if !errors.Is(err, simerr.ErrShed) || !simerr.Transient(err) {
 		t.Fatalf("shed error lost its taxonomy: %v", err)
 	}
-	co.Release(2)
-	if err := co.Admit(1); err != nil {
+	adm.Release()
+	adm, err = co.Admit(1)
+	if err != nil {
 		t.Fatalf("post-release admit failed: %v", err)
 	}
-	co.Release(1)
+	adm.Release()
 	if st := co.Snapshot(); st.Shed != 1 || st.Pending != 0 {
 		t.Fatalf("admission counters: %+v", st)
 	}
@@ -500,40 +504,157 @@ func TestWorkerKillMidCall(t *testing.T) {
 	}
 }
 
-// TestPingProbe: a health probe detects a silently killed worker and
-// replaces it before any cell is wasted.
-func TestPingProbe(t *testing.T) {
-	sp := Proc(os.Args[0])
+// recordingWorker records the order in which cells start.
+type recordingWorker struct {
+	mu      *sync.Mutex
+	started *[]string
+}
+
+func (w recordingWorker) Execute(ctx context.Context, c *Cell) (*engine.Result, error) {
+	w.mu.Lock()
+	*w.started = append(*w.started, c.Name)
+	w.mu.Unlock()
+	return &engine.Result{}, nil
+}
+func (recordingWorker) Kill()        {}
+func (recordingWorker) Close() error { return nil }
+
+// TestGrantsFollowAdmissionOrder: with one slot, the cells of 100 seeded
+// batches start batch by batch and, within a batch, in index order — however
+// late each cell's goroutine asks, and with some cells withdrawn before they
+// ask at all.
+func TestGrantsFollowAdmissionOrder(t *testing.T) {
 	var mu sync.Mutex
-	var spawned []Worker
-	wrap := func(ctx context.Context) (Worker, error) {
-		w, err := sp(ctx)
-		if err == nil {
-			mu.Lock()
-			spawned = append(spawned, w)
-			mu.Unlock()
-		}
-		return w, err
+	var started []string
+	w := recordingWorker{mu: &mu, started: &started}
+	co := testCoordinator(t, Config{
+		Workers: 1, QueueDepth: -1, CacheEntries: -1,
+		Spawn: func(ctx context.Context) (Worker, error) { return w, nil },
+	})
+	rng := rand.New(rand.NewSource(7))
+	type call struct {
+		adm      *Admission
+		i        int
+		name     string
+		withdraw bool
+		delay    time.Duration
 	}
-	co := testCoordinator(t, Config{Workers: 1, Spawn: wrap, ProbeInterval: 20 * time.Millisecond})
-	mu.Lock()
-	spawned[0].Kill()
-	mu.Unlock()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if co.Snapshot().Restarts > 0 {
-			break
+	var calls []call
+	var want []string
+	var adms []*Admission
+	for b := 0; b < 100; b++ {
+		n := 1 + rng.Intn(8)
+		adm, err := co.Admit(n)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("probe never detected the killed worker")
+		adms = append(adms, adm)
+		for i := 0; i < n; i++ {
+			c := call{adm: adm, i: i, name: fmt.Sprintf("%d/%d", b, i),
+				withdraw: rng.Intn(10) == 0, delay: time.Duration(rng.Intn(200)) * time.Microsecond}
+			if !c.withdraw {
+				want = append(want, c.name)
+			}
+			calls = append(calls, c)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	// And the pool still works.
+	rng.Shuffle(len(calls), func(i, j int) { calls[i], calls[j] = calls[j], calls[i] })
+	var wg sync.WaitGroup
+	for _, c := range calls {
+		wg.Add(1)
+		go func(c call) {
+			defer wg.Done()
+			time.Sleep(c.delay)
+			if c.withdraw {
+				c.adm.Withdraw(c.i)
+				return
+			}
+			if _, err := c.adm.Execute(context.Background(), c.i, &Cell{Name: c.name}); err != nil {
+				t.Error(err)
+			}
+		}(c)
+	}
+	wg.Wait()
+	for _, adm := range adms {
+		adm.Release()
+	}
+	if len(started) != len(want) {
+		t.Fatalf("%d cells started, want %d", len(started), len(want))
+	}
+	for k := range want {
+		if started[k] != want[k] {
+			t.Fatalf("start %d: cell %s, want %s (admission order broken)", k, started[k], want[k])
+		}
+	}
+	if co.Pending() != 0 {
+		t.Fatalf("admitted capacity leaked: %d pending", co.Pending())
+	}
+}
+
+// TestTryHoldYieldsToAdmitted: an idle slot is not held while an admitted
+// cell is still due one; once that cell withdraws, it is.
+func TestTryHoldYieldsToAdmitted(t *testing.T) {
+	co := testCoordinator(t, Config{Workers: 1})
+	adm, err := co.Admit(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := co.TryHold(); ok {
+		t.Fatal("TryHold jumped ahead of an admitted cell")
+	}
+	adm.Withdraw(0)
+	release, ok := co.TryHold()
+	if !ok {
+		t.Fatal("TryHold failed on an idle pool with nothing admitted waiting")
+	}
+	release()
+	adm.Release()
+}
+
+// TestCellConfigRunsThatCore: a cell carrying its own core configuration
+// runs on that core in process, is keyed apart from the same cell on the
+// default core, and is refused by a wire worker as a permanent build error.
+func TestCellConfigRunsThatCore(t *testing.T) {
 	prog := testProgram(t)
-	if _, err := co.Execute(context.Background(), &Cell{
-		Name: "cell.lc", Program: prog, Overrides: engine.Overrides{Policy: "unsafe"},
-	}); err != nil {
-		t.Fatalf("post-probe execute: %v", err)
+	cfg := cpu.DefaultConfig()
+	cfg.BDTEntries = 4
+	cfg.Predictor.ForceMispredictRate = 0.2
+	cell := func(cfg *cpu.Config) *Cell {
+		return &Cell{Name: "cell.lc", Program: prog, Verify: true, Config: cfg,
+			Overrides: engine.Overrides{Policy: "levioso"}}
+	}
+	want, err := engine.Run(context.Background(), engine.Request{
+		Name: "cell.lc", Program: prog, Verify: true, Config: &cfg,
+		Overrides: engine.Overrides{Policy: "levioso"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def := wantResult(t, prog, "levioso"); def.Stats == want.Stats {
+		t.Fatal("test config does not change the run; pick another")
+	}
+
+	co := testCoordinator(t, Config{Workers: 1, CacheEntries: -1})
+	got, err := co.Execute(context.Background(), cell(&cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameResult(got, want) {
+		t.Fatalf("configured cell diverged from engine.Run:\n got=%+v\nwant=%+v", got, want)
+	}
+
+	ctx := context.Background()
+	onCfg, ok1 := resultKey(ctx, cell(&cfg))
+	onDefault, ok2 := resultKey(ctx, cell(nil))
+	if !ok1 || !ok2 || onCfg == onDefault {
+		t.Fatalf("config not in the result key: %q (%v) vs %q (%v)", onCfg, ok1, onDefault, ok2)
+	}
+
+	wire := testCoordinator(t, Config{Workers: 1, Spawn: Pipe(), CacheEntries: -1})
+	if _, err := wire.Execute(ctx, cell(&cfg)); !errors.Is(err, simerr.ErrBuild) {
+		t.Fatalf("stdio worker ran a configured cell: want a build error, got %v", err)
+	}
+	if st := wire.Snapshot(); st.Retries != 0 || st.Restarts != 0 {
+		t.Fatalf("permanent rejection was retried: %+v", st)
 	}
 }

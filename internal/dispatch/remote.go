@@ -516,18 +516,6 @@ func (w *remoteWorker) Execute(ctx context.Context, c *Cell) (*engine.Result, er
 	return res, nil
 }
 
-func (w *remoteWorker) Ping(ctx context.Context) error {
-	resp, err := w.call(ctx, wireRequest{Ping: true})
-	if err != nil {
-		return err
-	}
-	if !resp.Pong {
-		w.poison()
-		return transportErr("ping to %s answered without pong", w.p.addr)
-	}
-	return nil
-}
-
 func (w *remoteWorker) Kill() {
 	w.killOnce.Do(func() {
 		w.poisoned.Store(true)

@@ -331,9 +331,8 @@ func (w *gatedWorker) Execute(ctx context.Context, c *Cell) (*engine.Result, err
 	})
 }
 
-func (w *gatedWorker) Ping(ctx context.Context) error { return nil }
-func (w *gatedWorker) Kill()                          {}
-func (w *gatedWorker) Close() error                   { return nil }
+func (w *gatedWorker) Kill()        {}
+func (w *gatedWorker) Close() error { return nil }
 
 // TestSingleFlightDedup: identical cells submitted while the first is still
 // executing wait for its flight and share the result — one simulation, not
@@ -467,9 +466,8 @@ func (w *flakyOnceWorker) Execute(ctx context.Context, c *Cell) (*engine.Result,
 	})
 }
 
-func (w *flakyOnceWorker) Ping(ctx context.Context) error { return nil }
-func (w *flakyOnceWorker) Kill()                          {}
-func (w *flakyOnceWorker) Close() error                   { return nil }
+func (w *flakyOnceWorker) Kill()        {}
+func (w *flakyOnceWorker) Close() error { return nil }
 
 // TestHelloV1Refused: a worker still speaking wire schema 1 — which would
 // ignore a cell's "ref" flag and answer with a core simulation — is refused

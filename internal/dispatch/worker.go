@@ -11,8 +11,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"levioso/internal/cpu"
 	"levioso/internal/engine"
 	"levioso/internal/isa"
+	"levioso/internal/simerr"
 )
 
 // helloTimeout bounds how long a freshly spawned worker may take to produce
@@ -35,6 +37,11 @@ type Cell struct {
 	// UseRef runs the program on the functional reference model instead of
 	// the out-of-order core (no policy, no Stats).
 	UseRef bool
+	// Config, when non-nil, is the core the cell runs on (nil means the
+	// default core); the Overrides apply on top. The wire carries no core
+	// configuration, so stdio and TCP workers reject such a cell as a
+	// permanent build error: only in-process workers run it.
+	Config *cpu.Config
 
 	imgOnce sync.Once
 	img     []byte
@@ -56,6 +63,10 @@ func (c *Cell) image() ([]byte, error) {
 
 // request renders the cell as one wire frame.
 func (c *Cell) request() (wireRequest, error) {
+	if c.Config != nil {
+		return wireRequest{}, simerr.New(simerr.KindBuild,
+			"dispatch: cell %q sets a core configuration, which the wire cannot carry", c.Name)
+	}
 	img, err := c.image()
 	if err != nil {
 		return wireRequest{}, err
@@ -81,12 +92,13 @@ func (c *Cell) engineRequest() engine.Request {
 		Verify:    c.Verify,
 		UseRef:    c.UseRef,
 		Overrides: c.Overrides,
+		Config:    c.Config,
 	}
 }
 
 // Worker is one execution slot: a thing that can run one cell at a time.
 // The coordinator owns the single-in-flight discipline; a Worker may assume
-// Execute and Ping are never called concurrently on the same instance.
+// Execute is never called concurrently on the same instance.
 //
 // Execute returns typed errors: simulation failures keep their simerr kind
 // across the transport, and anything where the result simply never arrived
@@ -95,7 +107,6 @@ func (c *Cell) engineRequest() engine.Request {
 // and the cell can be replayed on any other worker.
 type Worker interface {
 	Execute(ctx context.Context, c *Cell) (*engine.Result, error)
-	Ping(ctx context.Context) error
 	// Kill tears the worker down immediately (idempotent). Any in-flight
 	// call fails with a transport error.
 	Kill()
@@ -128,13 +139,6 @@ func (w *inprocWorker) Execute(ctx context.Context, c *Cell) (*engine.Result, er
 		return nil, fmt.Errorf("dispatch: cell %q has no program", c.Name)
 	}
 	return engine.Run(ctx, c.engineRequest())
-}
-
-func (w *inprocWorker) Ping(ctx context.Context) error {
-	if w.killed.Load() {
-		return transportErr("worker killed")
-	}
-	return nil
 }
 
 func (w *inprocWorker) Kill()        { w.killed.Store(true) }
@@ -276,18 +280,6 @@ func (w *stdioWorker) Execute(ctx context.Context, c *Cell) (*engine.Result, err
 		return nil, err
 	}
 	return resultFromWire(resp)
-}
-
-func (w *stdioWorker) Ping(ctx context.Context) error {
-	resp, err := w.call(ctx, wireRequest{Ping: true})
-	if err != nil {
-		return err
-	}
-	if !resp.Pong {
-		w.poisoned.Store(true)
-		return transportErr("ping answered without pong")
-	}
-	return nil
 }
 
 func (w *stdioWorker) Kill() {

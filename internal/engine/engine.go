@@ -18,10 +18,11 @@
 // the core's cooperative RunContext check and through the reference
 // interpreter's step loop alike.
 //
-// Keeping the pipeline behind one seam is what lets the sweep supervisor's
-// fault injection, journaling, and retries, and levserve's caching and
-// worker-pool bounding, apply uniformly to every entry point instead of
-// being re-implemented per main.
+// Keeping the pipeline behind one seam is what lets one dispatch
+// coordinator's worker pool and retries run both levserve's cells and the
+// sweep supervisor's, with levserve's caching and the supervisor's fault
+// injection and journaling layered on top, instead of each being
+// re-implemented per main.
 package engine
 
 import (

@@ -94,7 +94,6 @@ func TestChaosBatchGracefulDegradation(t *testing.T) {
 		Spawn:            ti.Spawner(dispatch.Pipe()),
 		MaxAttempts:      8,
 		Backoff:          2 * time.Millisecond,
-		HedgeAfter:       250 * time.Millisecond,
 		BreakerThreshold: 3,
 		BreakerCooldown:  10 * time.Millisecond,
 		CrashLoopBudget:  50,
@@ -159,8 +158,10 @@ func TestChaosBatchGracefulDegradation(t *testing.T) {
 		t.Fatalf("no faults fired — chaos test proved nothing: %v", fired)
 	}
 	st := co.Snapshot()
-	if st.Retries == 0 && st.Hedges == 0 {
-		t.Fatalf("faults fired (%v) but no retries or hedges recorded: %+v", fired, st)
+	// Worker kills fail their calls with transport errors, so a storm that
+	// fired must have forced retries.
+	if st.Retries == 0 {
+		t.Fatalf("faults fired (%v) but no retries recorded: %+v", fired, st)
 	}
 	if fired["worker-kill"] > 0 && st.Restarts == 0 {
 		t.Fatalf("workers were killed but never restarted: %+v", st)

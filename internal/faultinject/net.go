@@ -21,7 +21,7 @@ const (
 	// remote-transport analogue of WorkerKill.
 	ConnKill NetKind = iota
 	// NetLatency delays the operation by Delay (+ up to Jitter, seeded) —
-	// a slow link, food for hedging and heartbeat tuning.
+	// a slow link, food for heartbeat tuning.
 	NetLatency
 	// PartialWrite delivers only half the frame and then kills the
 	// connection while reporting the write as fully successful — TCP's

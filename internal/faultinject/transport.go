@@ -29,7 +29,7 @@ const (
 	// typed transport error the wire client produces for garbage bytes.
 	CorruptResponse
 	// DelayReply completes the call, then sits on the reply for Delay — a
-	// slow network/pipe, food for hedging and Retry-After calibration.
+	// slow network/pipe, food for Retry-After calibration.
 	DelayReply
 )
 
@@ -134,7 +134,7 @@ func (ti *TransportInjector) pick() (TransportFault, bool) {
 	return TransportFault{}, false
 }
 
-// faultyWorker interposes on Execute; Ping and lifecycle pass through.
+// faultyWorker interposes on Execute; lifecycle calls pass through.
 type faultyWorker struct {
 	dispatch.Worker
 	ti *TransportInjector

@@ -5,7 +5,6 @@
 package harness
 
 import (
-	"runtime"
 	"time"
 
 	"levioso/internal/cpu"
@@ -39,10 +38,12 @@ type Spec struct {
 	Tag string
 	// Retries is how many times the supervisor re-runs a cell after a
 	// transient failure (deadline, panic); permanent failures — watchdog,
-	// cycle limit, divergence — never retry. 0 means one attempt only.
+	// cycle limit, divergence — never retry. 0 (or less) means one attempt
+	// only.
 	Retries int
 	// RetryBackoff is the base of the capped exponential backoff between
-	// attempts (default 10ms, doubling per attempt, capped at 64x base).
+	// attempts (default 10ms, doubling per attempt, capped at 64x base,
+	// with ±50% jitter).
 	RetryBackoff time.Duration
 	// RunTimeout bounds each attempt's wall-clock time; 0 = unbounded.
 	// Expiry surfaces as simerr.ErrDeadline, classified transient.
@@ -97,14 +98,6 @@ func Sweep(spec Spec) ([]Run, error) {
 		return nil, res.Failures[0].Err
 	}
 	return res.Runs, nil
-}
-
-func maxParallel() int {
-	p := runtime.GOMAXPROCS(0)
-	if p < 1 {
-		p = 1
-	}
-	return p
 }
 
 // Index organizes runs for table rendering: byWP[workload][policy].

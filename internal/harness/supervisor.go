@@ -3,13 +3,14 @@ package harness
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
+	"math"
+	"runtime"
 	"sync"
 	"time"
 
+	"levioso/internal/dispatch"
 	"levioso/internal/engine"
 	"levioso/internal/faultinject"
-	"levioso/internal/isa"
 	"levioso/internal/obs"
 	"levioso/internal/ref"
 	"levioso/internal/simerr"
@@ -34,21 +35,27 @@ type SweepResult struct {
 	Resumed  int
 }
 
-// cell is one (workload, policy) slot of the sweep.
+// cell is one (workload, policy) slot of the sweep and, while pending, the
+// dispatch cell it runs as.
 type cell struct {
+	dispatch.Cell
+	policy   string     // as the Spec spells it; the coordinator canonicalizes Overrides.Policy
+	want     ref.Result // the workload's reference result, shared by its cells
 	run      Run
 	err      error
-	attempts int
+	attempts int // numbered by the worker; a cell's attempts run one after another
 	done     bool
 }
 
-// Supervise runs every (workload, policy) pair, in parallel across cells,
-// and degrades instead of aborting: a per-run panic is recovered into
-// simerr.ErrPanic, each attempt is bounded by Spec.RunTimeout, transient
-// failures are retried with capped exponential backoff, and one bad cell
-// becomes a Failure entry while every other cell still returns its Run.
-// With Spec.Journal set, completed cells are recorded as they finish and an
-// interrupted sweep resumes without re-executing them.
+// Supervise runs every (workload, policy) pair on a dispatch.Coordinator
+// with GOMAXPROCS in-process slots, and degrades instead of aborting: the
+// engine recovers a per-run panic into simerr.ErrPanic, each attempt is
+// bounded by Spec.RunTimeout, the coordinator retries transient failures
+// with capped exponential backoff, and one bad cell becomes a Failure entry
+// while every other cell still returns its Run. Cells are admitted at once
+// and start in Spec order. With Spec.Journal set, completed cells are
+// recorded as they finish and an interrupted sweep resumes without
+// re-executing them.
 //
 // The returned error is reserved for sweep-level problems (a cancelled
 // context, a journal write failure); per-cell errors are in Failures.
@@ -71,28 +78,15 @@ func Supervise(ctx context.Context, spec Spec) (*SweepResult, error) {
 		}
 	}
 
-	var journalErr error
-	var journalMu sync.Mutex
-	// Cells are dispatched to a fixed pool of workers draining one queue:
-	// a worker finishes a whole cell before taking the next, so at most maxParallel simulator
-	// working sets are live at once, instead of one goroutine per cell all
-	// fighting for the scheduler.
-	type cellJob struct {
-		idx   int
-		wname string
-		pol   string
-		prog  *isa.Program
-		want  ref.Result
-	}
-	var jobs []cellJob
+	var pending []*cell
 	for wi, w := range spec.Workloads {
-		pending := false
+		todo := false
 		for pi := range spec.Policies {
 			if !cells[wi*np+pi].done {
-				pending = true
+				todo = true
 			}
 		}
-		if !pending {
+		if !todo {
 			continue // fully resumed: skip the build too
 		}
 		prog, err := w.Build(spec.Size)
@@ -113,62 +107,31 @@ func Supervise(ctx context.Context, spec Spec) (*SweepResult, error) {
 			}
 		}
 		for pi, pol := range spec.Policies {
-			idx := wi*np + pi
-			if cells[idx].done {
+			c := &cells[wi*np+pi]
+			if c.done {
 				continue
 			}
-			jobs = append(jobs, cellJob{idx: idx, wname: w.Name, pol: pol, prog: prog, want: want})
+			c.Cell = dispatch.Cell{
+				Name:      w.Name,
+				Program:   prog,
+				Config:    &spec.Config,
+				Verify:    spec.Verify,
+				Overrides: engine.Overrides{Policy: pol, Deadline: spec.RunTimeout},
+			}
+			c.policy, c.want = pol, want
+			pending = append(pending, c)
 		}
 	}
-	workers := maxParallel()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	queue := make(chan cellJob, len(jobs))
-	for _, j := range jobs {
-		queue <- j
-	}
-	close(queue)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range queue {
-				run, attempts, err := superviseCell(ctx, spec, j.prog, j.want, j.wname, j.pol)
-				if err != nil {
-					cells[j.idx] = cell{err: err, attempts: attempts}
-					continue
-				}
-				cells[j.idx] = cell{run: run, attempts: attempts, done: true}
-				if spec.Journal != nil {
-					if jerr := spec.Journal.Record(spec.Tag, run); jerr != nil {
-						journalMu.Lock()
-						if journalErr == nil {
-							journalErr = jerr
-						}
-						journalMu.Unlock()
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	// An interrupted sweep is a sweep-level abort, not a pile of per-cell
-	// failures: completed cells are already journaled, so the caller's
-	// resume path is the recovery story.
-	if err := ctx.Err(); err != nil {
+	if err := runCells(ctx, spec, pending); err != nil {
 		return nil, err
-	}
-	if journalErr != nil {
-		return nil, fmt.Errorf("harness: journal: %w", journalErr)
 	}
 
 	res := &SweepResult{Resumed: resumed}
 	cellsTotal := obs.FromContext(ctx).CounterVec("harness_cells_total",
 		"sweep cells by final disposition", "outcome")
 	cellsTotal.With("resumed").Add(uint64(resumed))
-	for i, c := range cells {
+	for i := range cells {
+		c := &cells[i]
 		if c.err != nil {
 			cellsTotal.With("failed").Inc()
 			res.Failures = append(res.Failures, Failure{
@@ -187,6 +150,81 @@ func Supervise(ctx context.Context, spec Spec) (*SweepResult, error) {
 	return res, nil
 }
 
+// runCells admits every pending cell to a coordinator built for this sweep
+// and settles each one, journaling the completed ones.
+func runCells(ctx context.Context, spec Spec, pending []*cell) error {
+	if len(pending) == 0 {
+		return ctx.Err()
+	}
+	backoff := spec.RetryBackoff
+	if backoff <= 0 {
+		backoff = 10 * time.Millisecond
+	}
+	w := &sweepWorker{spec: &spec, cells: make(map[*dispatch.Cell]*cell, len(pending))}
+	for _, c := range pending {
+		w.cells[&c.Cell] = c
+	}
+	co, err := dispatch.New(ctx, dispatch.Config{
+		Workers:     runtime.GOMAXPROCS(0),
+		Spawn:       func(context.Context) (dispatch.Worker, error) { return w, nil },
+		MaxAttempts: max(spec.Retries, 0) + 1,
+		Backoff:     backoff,
+		// An in-process slot has no health to lose: its transient failures
+		// are the cell's own (a deadline, an injected panic), so no streak
+		// may park it for a breaker cooldown.
+		BreakerThreshold: math.MaxInt,
+		QueueDepth:       -1,
+		CacheEntries:     -1,
+		Registry:         obs.NewRegistry(),
+	})
+	if err != nil {
+		return err
+	}
+	defer co.Close()
+	adm, err := co.Admit(len(pending))
+	if err != nil {
+		return err
+	}
+	defer adm.Release()
+
+	var journalErr error
+	var journalMu sync.Mutex
+	var wg sync.WaitGroup
+	for i, c := range pending {
+		wg.Add(1)
+		go func(i int, c *cell) {
+			defer wg.Done()
+			res, err := adm.Execute(ctx, i, &c.Cell)
+			if err != nil {
+				c.err = simerr.WithRun(err, c.Name, c.policy, c.attempts)
+				return
+			}
+			c.run = Run{Workload: c.Name, Policy: c.policy, Stats: res.Stats, ExitCode: res.ExitCode}
+			c.done = true
+			if spec.Journal != nil {
+				if jerr := spec.Journal.Record(spec.Tag, c.run); jerr != nil {
+					journalMu.Lock()
+					if journalErr == nil {
+						journalErr = jerr
+					}
+					journalMu.Unlock()
+				}
+			}
+		}(i, c)
+	}
+	wg.Wait()
+	// An interrupted sweep is a sweep-level abort, not a pile of per-cell
+	// failures: completed cells are already journaled, so the caller's
+	// resume path is the recovery story.
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if journalErr != nil {
+		return fmt.Errorf("harness: journal: %w", journalErr)
+	}
+	return nil
+}
+
 // failWorkload marks every policy cell of one workload failed with the same
 // pre-simulation cause (build or reference-run failure).
 func failWorkload(cells []cell, spec Spec, wname string, cause *simerr.RunError) {
@@ -198,101 +236,65 @@ func failWorkload(cells []cell, spec Spec, wname string, cause *simerr.RunError)
 	}
 }
 
-// superviseCell drives one cell through the attempt loop: run, classify,
-// and retry transient failures with capped exponential backoff. Every
-// attempt records into ctx's obs registry: a harness.cell span (the
-// harness_stage_seconds histogram, outcome "ok" or the failure kind),
-// harness_attempts_total, and — for
+// sweepWorker is the coordinator's in-process worker for one sweep: one
+// attempt of one cell through engine.Run, on the cell's core with its fault
+// plan attached for that attempt, verified against the workload's shared
+// reference result. A panic anywhere in the simulation, injected fault hooks
+// included, is recovered by the engine. Every attempt records into ctx's obs
+// registry: a harness.cell span (the harness_stage_seconds histogram,
+// outcome "ok" or the failure kind), harness_attempts_total, and — for
 // attempts beyond the first — harness_retries_total, so a sweep's retry and
 // deadline pressure is visible without reading the failure table.
-func superviseCell(ctx context.Context, spec Spec, prog *isa.Program, want ref.Result, wname, pol string) (Run, int, error) {
-	reg := obs.FromContext(ctx)
-	backoff := spec.RetryBackoff
-	if backoff <= 0 {
-		backoff = 10 * time.Millisecond
+type sweepWorker struct {
+	spec  *Spec
+	cells map[*dispatch.Cell]*cell // read-only once the sweep starts
+}
+
+func (w *sweepWorker) Execute(ctx context.Context, c *dispatch.Cell) (*engine.Result, error) {
+	sc := w.cells[c]
+	sc.attempts++
+	if w.spec.testOnRun != nil {
+		w.spec.testOnRun(sc.Name, sc.policy, sc.attempts)
 	}
-	var lastErr error
-	attempt := 1
-	for ; ; attempt++ {
-		if spec.testOnRun != nil {
-			spec.testOnRun(wname, pol, attempt)
+	reg := obs.FromContext(ctx)
+	reg.Counter("harness_attempts_total", "executed sweep cell attempts").Inc()
+	if sc.attempts > 1 {
+		reg.Counter("harness_retries_total", "cell attempts beyond the first (transient-failure retries)").Inc()
+	}
+	sp := obs.StartSpan(ctx, "harness.cell")
+	cfg := *c.Config
+	if w.spec.Faults != nil {
+		if plan := w.spec.Faults(sc.Name, sc.policy); plan != nil {
+			faultinject.New(*plan, sc.attempts).Attach(&cfg)
+			reg.Counter("harness_faults_injected_total",
+				"cell attempts executed with an attached fault-injection plan").Inc()
 		}
-		reg.Counter("harness_attempts_total", "executed sweep cell attempts").Inc()
-		if attempt > 1 {
-			reg.Counter("harness_retries_total", "cell attempts beyond the first (transient-failure retries)").Inc()
-		}
-		sp := obs.StartSpan(ctx, "harness.cell")
-		run, err := runCell(ctx, spec, prog, want, wname, pol, attempt)
-		if err == nil {
-			sp.End(obs.OutcomeOK)
-			return run, attempt, nil
-		}
+	}
+	req := engine.Request{
+		Name:      c.Name,
+		Program:   c.Program,
+		Config:    &cfg,
+		Verify:    c.Verify,
+		Overrides: c.Overrides,
+	}
+	if c.Verify {
+		req.Want = &sc.want
+	}
+	res, err := engine.Run(ctx, req)
+	if err != nil {
 		kind := simerr.KindOf(err)
 		sp.End(kind.String())
 		if kind == simerr.KindDeadline {
 			reg.Counter("harness_deadlines_total", "cell attempts that hit the per-run wall-clock deadline").Inc()
 		}
-		lastErr = simerr.WithRun(err, wname, pol, attempt)
-		if !simerr.Transient(lastErr) || attempt > spec.Retries {
-			break
-		}
-		d := backoff << (attempt - 1)
-		if lim := backoff << 6; d > lim {
-			d = lim
-		}
-		select {
-		case <-time.After(d):
-		case <-ctx.Done():
-			return Run{}, attempt, lastErr
-		}
+		return nil, err
 	}
-	return Run{}, attempt, lastErr
+	sp.End(obs.OutcomeOK)
+	return res, nil
 }
 
-// runCell executes one attempt of one cell through the shared pipeline: an
-// engine.Run over the pre-built program under the cell's policy, with any
-// injected faults attached to the configuration and the per-run deadline and
-// reference cross-check handled by the engine. The engine recovers panics
-// anywhere inside the simulation into simerr.ErrPanic; the extra recover
-// here also covers a panicking fault-plan callback, so one bad cell cannot
-// take down the whole sweep.
-func runCell(ctx context.Context, spec Spec, prog *isa.Program, want ref.Result, wname, pol string, attempt int) (run Run, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &simerr.RunError{
-				Kind:   simerr.KindPanic,
-				Detail: fmt.Sprint(r),
-				Stack:  string(debug.Stack()),
-			}
-		}
-	}()
-	cfg := spec.Config
-	if spec.Faults != nil {
-		if plan := spec.Faults(wname, pol); plan != nil {
-			faultinject.New(*plan, attempt).Attach(&cfg)
-			obs.FromContext(ctx).Counter("harness_faults_injected_total",
-				"cell attempts executed with an attached fault-injection plan").Inc()
-		}
-	}
-	req := engine.Request{
-		Name:    wname,
-		Program: prog,
-		Config:  &cfg,
-		Verify:  spec.Verify,
-		Overrides: engine.Overrides{
-			Policy:   pol,
-			Deadline: spec.RunTimeout,
-		},
-	}
-	if spec.Verify {
-		req.Want = &want
-	}
-	res, err := engine.Run(ctx, req)
-	if err != nil {
-		return Run{}, err
-	}
-	return Run{Workload: wname, Policy: pol, Stats: res.Stats, ExitCode: res.ExitCode}, nil
-}
+func (*sweepWorker) Kill()        {}
+func (*sweepWorker) Close() error { return nil }
 
 // RenderFailures formats a failure table for reports (empty string when
 // there is nothing to report).

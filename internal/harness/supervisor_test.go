@@ -205,6 +205,34 @@ func TestSupervisorDeadlineExhaustsRetries(t *testing.T) {
 	}
 }
 
+// TestSupervisorDeadlinesNeverParkSlots: a sweep in which every attempt hits
+// its deadline piles up consecutive transient failures on every slot — far
+// past a default breaker's threshold — yet no slot sits out a breaker
+// cooldown (1s by default): in-process slots have no breaker to trip.
+func TestSupervisorDeadlinesNeverParkSlots(t *testing.T) {
+	spec := smallSpec(t)
+	spec.Retries = 2
+	spec.RetryBackoff = time.Millisecond
+	spec.RunTimeout = time.Nanosecond
+	start := time.Now()
+	res, err := Supervise(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	if len(res.Failures) != 4 {
+		t.Fatalf("want all 4 cells failed, got %+v", res.Failures)
+	}
+	for _, f := range res.Failures {
+		if !errors.Is(f.Err, simerr.ErrDeadline) || f.Attempts != 3 {
+			t.Errorf("%s/%s: %d attempts, %v; want 3 deadline attempts", f.Workload, f.Policy, f.Attempts, f.Err)
+		}
+	}
+	if elapsed >= time.Second {
+		t.Fatalf("12 deadline attempts took %v: a slot waited out a breaker cooldown", elapsed)
+	}
+}
+
 // TestSupervisorMetrics pins the supervisor's instrumentation: a sweep run
 // with an isolated registry in the context must record attempts, retries
 // (one injected transient), the per-attempt harness.cell span histogram, and

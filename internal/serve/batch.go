@@ -90,12 +90,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Whole-batch admission: shed now, with backpressure hints, or own
-	// capacity for every cell until the stream ends.
-	if err := s.dispatch.Admit(n); err != nil {
+	// capacity for every cell until the stream ends. The cells are granted
+	// worker slots in index order.
+	adm, err := s.dispatch.Admit(n)
+	if err != nil {
 		s.writeEngineError(w, err)
 		return
 	}
-	defer s.dispatch.Release(n)
+	defer adm.Release()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -110,7 +112,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, cell SimRequest) {
 			defer wg.Done()
-			lines <- s.runBatchCell(r, i, cell)
+			line := s.runBatchCell(r, adm, i, cell)
+			adm.Withdraw(i) // a cell that failed before dispatch holds up no one
+			lines <- line
 		}(i, cell)
 	}
 	go func() {
@@ -160,7 +164,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // runBatchCell resolves and executes one batch cell, rendering its stream
 // line. Build failures (bad source, unknown policy, ref requests) are
 // per-cell errors — one broken cell never takes the batch down.
-func (s *Server) runBatchCell(r *http.Request, index int, sr SimRequest) BatchCellResult {
+func (s *Server) runBatchCell(r *http.Request, adm *dispatch.Admission, index int, sr SimRequest) BatchCellResult {
 	start := time.Now()
 	fail := func(err error) BatchCellResult {
 		return BatchCellResult{
@@ -191,7 +195,7 @@ func (s *Server) runBatchCell(r *http.Request, index int, sr SimRequest) BatchCe
 	} else if s.cfg.DefaultDeadline > 0 {
 		ov.Deadline = s.cfg.DefaultDeadline
 	}
-	res, err := s.dispatch.ExecuteAdmitted(r.Context(), &dispatch.Cell{
+	res, err := adm.Execute(r.Context(), index, &dispatch.Cell{
 		Name:      req.Name,
 		Program:   prog,
 		Overrides: ov,

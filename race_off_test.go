@@ -1,0 +1,5 @@
+//go:build !race
+
+package levioso
+
+const raceEnabled = false
