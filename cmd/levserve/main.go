@@ -1,7 +1,9 @@
 // levserve is the simulation daemon: an HTTP/JSON service over the shared
 // run pipeline (internal/engine) with a bounded worker pool, per-request
-// deadlines, and an LRU result cache keyed by (program hash, policy, config
-// digest) — repeated sweep cells are served without re-simulating.
+// deadlines, and an LRU result cache keyed by a hash of (policy, run flags,
+// every core parameter, program image) — repeated sweep cells are served
+// without re-simulating. A "binary" input is keyed on the bytes the client
+// sent, so two byte encodings of one program do not share a cache entry.
 //
 // Usage:
 //

@@ -8,11 +8,15 @@
 // deterministic pure function of (program, policy, config). That makes
 // every failure safely retryable — a cell whose result never arrived can be
 // replayed on any worker with no risk of double effects — and every repeat
-// cacheable under engine.CacheKey. The failure taxonomy in internal/simerr
-// does the rest of the work: transient kinds (transport, deadline, panic,
-// shed) drive retries and breakers; permanent kinds (build, divergence,
-// limits) are the cell's own fault, charged to the cell and never to the
-// worker that faithfully reported them.
+// cacheable under one key (resultKey): a hash of the cell's policy, run
+// flags and core parameters and of its program image. A cell that carries
+// its LEV64 image (Cell.Image) is keyed and shipped on those bytes, so the
+// coordinator, the wire and the worker daemon's cache never re-encode it.
+// The failure taxonomy in internal/simerr does the rest of the work:
+// transient kinds (transport, deadline, panic, shed) drive retries and
+// breakers; permanent kinds (build, divergence, limits) are the cell's own
+// fault, charged to the cell and never to the worker that faithfully
+// reported them.
 //
 // Worker ownership is a token discipline: each worker slot sits in the idle
 // list exactly when it is idle and trusted. A slot is granted to one ticket
@@ -493,14 +497,17 @@ func newResultCache(n int) *resultCache {
 
 // resultKey is the content-addressed identity of a normalized cell's result
 // — what the coordinator cache, single-flight dedup, and the worker daemon
-// cache all coalesce on. A disabled cache still gets a key: dedup works
-// either way. The time spent is recorded as the engine.cachekey span.
+// cache all coalesce on. It hashes the cell's Image when it has one and its
+// Program's encoding otherwise, so the coordinator keying a cell and the
+// daemon keying the frame it ships derive the same key. A disabled cache
+// still gets a key: dedup works either way. The time spent is recorded as
+// the engine.cachekey span.
 func resultKey(ctx context.Context, cell *Cell) (string, bool) {
-	if cell.Program == nil {
+	if cell.Program == nil && cell.Image == nil {
 		return "", false
 	}
 	req := cell.engineRequest()
-	return engine.CacheKeyObserved(ctx, cell.Program, cell.Overrides.Policy, req.BuildConfig(), cell.UseRef, cell.Verify)
+	return engine.CacheKeyObserved(ctx, cell.Program, cell.Image, cell.Overrides.Policy, req.BuildConfig(), cell.UseRef, cell.Verify)
 }
 
 // sleepBackoff waits the exponential-with-jitter delay before attempt n.

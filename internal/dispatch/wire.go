@@ -268,17 +268,14 @@ func runWireRequest(ctx context.Context, req wireRequest, cache *resultCache) wi
 }
 
 // runWireCell rebuilds the frame's cell and runs it, answering repeats from
-// the daemon cache under the same resultKey the coordinator uses.
+// the daemon cache under the same resultKey the coordinator uses. The key
+// hashes the frame's image bytes, so a cache hit never loads the program.
 func runWireCell(ctx context.Context, req wireRequest, cache *resultCache) (engine.Result, bool, error) {
-	prog, err := engine.Load(req.Name, req.Binary)
-	if err != nil {
-		return engine.Result{}, false, err
-	}
 	cell := &Cell{
-		Name:    req.Name,
-		Program: prog,
-		Verify:  req.Verify,
-		UseRef:  req.Ref,
+		Name:   req.Name,
+		Image:  req.Binary,
+		Verify: req.Verify,
+		UseRef: req.Ref,
 		Overrides: engine.Overrides{
 			Policy:    req.Policy,
 			ROBSize:   req.ROB,

@@ -23,13 +23,19 @@ const helloTimeout = 10 * time.Second
 
 // Cell is one unit of batch work: a program plus the option surface that
 // selects its simulation. Cells are immutable once handed to the
-// coordinator; the marshaled program image for the stdio transport is
-// computed lazily and shared across retries.
+// coordinator.
 type Cell struct {
 	// Name labels the cell in results, errors, and metrics.
 	Name string
 	// Program is the built program to simulate (immutable during runs).
+	// It may be nil when Image is set: the worker loads the image.
 	Program *isa.Program
+	// Image, when non-nil, is the LEV64 image Program was loaded from (a
+	// binary request input, a wire frame). The result key hashes it and the
+	// stdio and TCP transports ship it as it is, so the program is never
+	// re-encoded. When nil, the key hashes Program's encoding and a wire
+	// frame marshals Program; nothing keeps a copy of the image.
+	Image []byte
 	// Overrides selects policy, ROB size, cycle limit, and deadline.
 	Overrides engine.Overrides
 	// Verify cross-checks the run against the reference model.
@@ -42,34 +48,24 @@ type Cell struct {
 	// configuration, so stdio and TCP workers reject such a cell as a
 	// permanent build error: only in-process workers run it.
 	Config *cpu.Config
-
-	imgOnce sync.Once
-	img     []byte
-	imgErr  error
 }
 
-// image returns the cell's serialized LEV64 image for the wire transport,
-// marshaling once no matter how many attempts ship it.
-func (c *Cell) image() ([]byte, error) {
-	c.imgOnce.Do(func() {
-		if c.Program == nil {
-			c.imgErr = fmt.Errorf("dispatch: cell %q has no program", c.Name)
-			return
-		}
-		c.img, c.imgErr = c.Program.MarshalBinary()
-	})
-	return c.img, c.imgErr
-}
-
-// request renders the cell as one wire frame.
+// request renders the cell as one wire frame. The frame carries Image when
+// the cell has one, and otherwise Program marshaled for this frame.
 func (c *Cell) request() (wireRequest, error) {
 	if c.Config != nil {
 		return wireRequest{}, simerr.New(simerr.KindBuild,
 			"dispatch: cell %q sets a core configuration, which the wire cannot carry", c.Name)
 	}
-	img, err := c.image()
-	if err != nil {
-		return wireRequest{}, err
+	img := c.Image
+	if img == nil {
+		if c.Program == nil {
+			return wireRequest{}, fmt.Errorf("dispatch: cell %q has no program", c.Name)
+		}
+		var err error
+		if img, err = c.Program.MarshalBinary(); err != nil {
+			return wireRequest{}, err
+		}
 	}
 	return wireRequest{
 		Name:       c.Name,
@@ -84,9 +80,10 @@ func (c *Cell) request() (wireRequest, error) {
 }
 
 // engineRequest is the engine pipeline request the cell stands for — what
-// every worker finally runs, and what resultKey keys.
+// every worker finally runs, and what resultKey keys. A cell without a
+// Program hands the engine its Image to load.
 func (c *Cell) engineRequest() engine.Request {
-	return engine.Request{
+	req := engine.Request{
 		Name:      c.Name,
 		Program:   c.Program,
 		Verify:    c.Verify,
@@ -94,6 +91,10 @@ func (c *Cell) engineRequest() engine.Request {
 		Overrides: c.Overrides,
 		Config:    c.Config,
 	}
+	if c.Program == nil {
+		req.Binary = c.Image
+	}
+	return req
 }
 
 // Worker is one execution slot: a thing that can run one cell at a time.
@@ -135,7 +136,7 @@ func (w *inprocWorker) Execute(ctx context.Context, c *Cell) (*engine.Result, er
 	if w.killed.Load() {
 		return nil, transportErr("worker killed")
 	}
-	if c.Program == nil {
+	if c.Program == nil && c.Image == nil {
 		return nil, fmt.Errorf("dispatch: cell %q has no program", c.Name)
 	}
 	return engine.Run(ctx, c.engineRequest())

@@ -52,8 +52,10 @@ type Spec struct {
 	// interrupted sweep resume without re-executing them.
 	Journal *Journal
 	// Faults, when non-nil, returns the fault plan to inject into a cell's
-	// core (nil = run clean). Used by robustness tests to prove the
-	// watchdog, limits and classification fire.
+	// core (nil = run clean), asked once per cell. Every attempt of the cell
+	// runs with the plan attached, and a faulted cell never shares a
+	// single-flight run with a repeat of its pair. Used by robustness tests
+	// to prove the watchdog, limits and classification fire.
 	Faults func(workload, policy string) *faultinject.Plan
 
 	// testOnRun observes every executed attempt (test instrumentation; the

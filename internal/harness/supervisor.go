@@ -39,8 +39,9 @@ type SweepResult struct {
 // dispatch cell it runs as.
 type cell struct {
 	dispatch.Cell
-	policy   string     // as the Spec spells it; the coordinator canonicalizes Overrides.Policy
-	want     ref.Result // the workload's reference result, shared by its cells
+	policy   string            // as the Spec spells it; the coordinator canonicalizes Overrides.Policy
+	want     ref.Result        // the workload's reference result, shared by its cells
+	plan     *faultinject.Plan // Spec.Faults' plan for the cell, nil to run clean
 	run      Run
 	err      error
 	attempts int // numbered by the worker; a cell's attempts run one after another
@@ -119,6 +120,18 @@ func Supervise(ctx context.Context, spec Spec) (*SweepResult, error) {
 				Overrides: engine.Overrides{Policy: pol, Deadline: spec.RunTimeout},
 			}
 			c.policy, c.want = pol, want
+			if spec.Faults != nil {
+				c.plan = spec.Faults(w.Name, pol)
+			}
+			if c.plan != nil {
+				// A faulted cell runs on a hooked core, and a hooked core
+				// has no result key: the coordinator never lets it share a
+				// flight with a repeat of its pair. Each attempt attaches a
+				// fresh injector over these hooks.
+				cfg := spec.Config
+				faultinject.New(*c.plan, 1).Attach(&cfg)
+				c.Config = &cfg
+			}
 			pending = append(pending, c)
 		}
 	}
@@ -263,12 +276,10 @@ func (w *sweepWorker) Execute(ctx context.Context, c *dispatch.Cell) (*engine.Re
 	}
 	sp := obs.StartSpan(ctx, "harness.cell")
 	cfg := *c.Config
-	if w.spec.Faults != nil {
-		if plan := w.spec.Faults(sc.Name, sc.policy); plan != nil {
-			faultinject.New(*plan, sc.attempts).Attach(&cfg)
-			reg.Counter("harness_faults_injected_total",
-				"cell attempts executed with an attached fault-injection plan").Inc()
-		}
+	if sc.plan != nil {
+		faultinject.New(*sc.plan, sc.attempts).Attach(&cfg)
+		reg.Counter("harness_faults_injected_total",
+			"cell attempts executed with an attached fault-injection plan").Inc()
 	}
 	req := engine.Request{
 		Name:      c.Name,

@@ -174,6 +174,55 @@ func TestSupervisorRetriesTransient(t *testing.T) {
 	}
 }
 
+// TestSupervisorFaultedRepeatsRunAlone: a Spec that repeats a (workload,
+// policy) pair under a fault plan runs each repeat itself. Both cells panic
+// on their first attempt and succeed on the retry, so each reports its own
+// two attempts and its own two injected faults; none takes over another's
+// flight. The first attempt is held long enough for a repeat to find its
+// flight, if it could share one.
+func TestSupervisorFaultedRepeatsRunAlone(t *testing.T) {
+	spec := smallSpec(t)
+	w, _ := workloads.ByName("matmul")
+	spec.Workloads = []workloads.Workload{w}
+	spec.Policies = []string{"unsafe", "unsafe"}
+	spec.Retries = 1
+	spec.RetryBackoff = time.Millisecond
+	spec.Faults = func(w, p string) *faultinject.Plan {
+		return &faultinject.Plan{Faults: []faultinject.Fault{
+			{Kind: faultinject.Panic, Start: 100, FirstAttempts: 1},
+		}}
+	}
+	var mu sync.Mutex
+	var attempts []int
+	spec.testOnRun = func(w, p string, attempt int) {
+		mu.Lock()
+		attempts = append(attempts, attempt)
+		first := len(attempts) == 1
+		mu.Unlock()
+		if first {
+			time.Sleep(100 * time.Millisecond)
+		}
+	}
+	reg := obs.NewRegistry()
+	res, err := Supervise(obs.WithRegistry(context.Background(), reg), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Failures) != 0 || len(res.Runs) != 2 {
+		t.Fatalf("want 2 runs and no failures, got %d runs, failures %+v", len(res.Runs), res.Failures)
+	}
+	count := map[int]int{}
+	for _, a := range attempts {
+		count[a]++
+	}
+	if len(attempts) != 4 || count[1] != 2 || count[2] != 2 {
+		t.Errorf("executed attempts %v, want 1 and 2 for each repeat", attempts)
+	}
+	if got := reg.Counter("harness_faults_injected_total", "").Value(); got != 4 {
+		t.Errorf("harness_faults_injected_total = %d, want 4 (two attempts per repeat)", got)
+	}
+}
+
 // TestSupervisorDeadlineExhaustsRetries: an unmeetable per-run deadline is
 // transient, so the supervisor retries it the configured number of times and
 // then reports KindDeadline with the attempt count.

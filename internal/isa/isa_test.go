@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"bytes"
 	"math/bits"
 	"testing"
 	"testing/quick"
@@ -302,6 +303,31 @@ func TestProgramMarshalRoundTripQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestWriteToMatchesMarshal: WriteTo emits exactly MarshalBinary's bytes,
+// for version-1 and version-2 (secret ranges) images alike — a result key
+// hashing a program through WriteTo must agree with one hashing its image.
+func TestWriteToMatchesMarshal(t *testing.T) {
+	p := NewProgram()
+	p.Text = []Inst{{Op: ADDI, Rd: 1, Imm: 3}, {Op: HALT}}
+	p.Data = []byte{1, 2, 3, 4, 5}
+	p.Symbols["main"] = TextBase
+	p.Symbols["buf"] = DataBase
+	p.Hints[TextBase] = BranchHint{ReconvPC: TextBase + 8, WriteSet: 6}
+	for _, secrets := range [][]SecretRange{nil, {{Base: DataBase + 2, Len: 2}, {Base: DataBase, Len: 1}}} {
+		p.Secrets = secrets
+		img, err := p.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		n, err := p.WriteTo(&buf)
+		if err != nil || n != int64(len(img)) || !bytes.Equal(buf.Bytes(), img) {
+			t.Errorf("secrets %v: WriteTo wrote %d bytes (%v), MarshalBinary %d; equal=%v",
+				secrets, n, err, len(img), bytes.Equal(buf.Bytes(), img))
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package isa
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"sort"
 )
 
@@ -203,40 +204,70 @@ const (
 
 // MarshalBinary serializes the program image (source lines are not kept).
 func (p *Program) MarshalBinary() ([]byte, error) {
+	head, tail, err := p.imageParts()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, len(head)+len(p.Data)+len(tail))
+	out = append(out, head...)
+	out = append(out, p.Data...)
+	return append(out, tail...), nil
+}
+
+// WriteTo writes the bytes MarshalBinary returns to w, without building the
+// image: the data section, most of a large image, goes to w as it is. A
+// result-cache key hashes a program this way.
+func (p *Program) WriteTo(w io.Writer) (int64, error) {
+	head, tail, err := p.imageParts()
+	if err != nil {
+		return 0, err
+	}
+	var n int64
+	for _, b := range [...][]byte{head, p.Data, tail} {
+		m, err := w.Write(b)
+		n += int64(m)
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
+}
+
+// imageParts encodes the image around its data section: head is everything
+// up to the data length, tail everything after the data bytes.
+func (p *Program) imageParts() (head, tail []byte, err error) {
 	v := uint16(version)
 	if len(p.Secrets) > 0 {
 		v = versionSecrets
 	}
-	var out []byte
-	out = append(out, magic...)
-	out = binary.LittleEndian.AppendUint16(out, v)
-	out = binary.LittleEndian.AppendUint64(out, p.Entry)
+	head = make([]byte, 0, len(magic)+2+8+4+len(p.Text)*InstBytes+4)
+	head = append(head, magic...)
+	head = binary.LittleEndian.AppendUint16(head, v)
+	head = binary.LittleEndian.AppendUint64(head, p.Entry)
 
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(p.Text)))
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(p.Text)))
 	var buf [InstBytes]byte
 	for _, in := range p.Text {
 		if err := in.Encode(buf[:]); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		out = append(out, buf[:]...)
+		head = append(head, buf[:]...)
 	}
-
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(p.Data)))
-	out = append(out, p.Data...)
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(p.Data)))
 
 	names := make([]string, 0, len(p.Symbols))
 	for n := range p.Symbols {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(names)))
+	tail = binary.LittleEndian.AppendUint32(tail, uint32(len(names)))
 	for _, n := range names {
 		if len(n) > 1<<16-1 {
-			return nil, fmt.Errorf("program: symbol name too long: %q", n[:32])
+			return nil, nil, fmt.Errorf("program: symbol name too long: %q", n[:32])
 		}
-		out = binary.LittleEndian.AppendUint16(out, uint16(len(n)))
-		out = append(out, n...)
-		out = binary.LittleEndian.AppendUint64(out, p.Symbols[n])
+		tail = binary.LittleEndian.AppendUint16(tail, uint16(len(n)))
+		tail = append(tail, n...)
+		tail = binary.LittleEndian.AppendUint64(tail, p.Symbols[n])
 	}
 
 	pcs := make([]uint64, 0, len(p.Hints))
@@ -244,24 +275,24 @@ func (p *Program) MarshalBinary() ([]byte, error) {
 		pcs = append(pcs, pc)
 	}
 	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(pcs)))
+	tail = binary.LittleEndian.AppendUint32(tail, uint32(len(pcs)))
 	for _, pc := range pcs {
 		h := p.Hints[pc]
-		out = binary.LittleEndian.AppendUint64(out, pc)
-		out = binary.LittleEndian.AppendUint64(out, h.ReconvPC)
-		out = binary.LittleEndian.AppendUint32(out, uint32(h.WriteSet))
+		tail = binary.LittleEndian.AppendUint64(tail, pc)
+		tail = binary.LittleEndian.AppendUint64(tail, h.ReconvPC)
+		tail = binary.LittleEndian.AppendUint32(tail, uint32(h.WriteSet))
 	}
 
 	if v >= versionSecrets {
 		secrets := append([]SecretRange(nil), p.Secrets...)
 		sort.Slice(secrets, func(i, j int) bool { return secrets[i].Base < secrets[j].Base })
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(secrets)))
+		tail = binary.LittleEndian.AppendUint32(tail, uint32(len(secrets)))
 		for _, s := range secrets {
-			out = binary.LittleEndian.AppendUint64(out, s.Base)
-			out = binary.LittleEndian.AppendUint64(out, s.Len)
+			tail = binary.LittleEndian.AppendUint64(tail, s.Base)
+			tail = binary.LittleEndian.AppendUint64(tail, s.Len)
 		}
 	}
-	return out, nil
+	return head, tail, nil
 }
 
 // UnmarshalBinary parses a serialized program image.

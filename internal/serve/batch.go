@@ -198,6 +198,7 @@ func (s *Server) runBatchCell(r *http.Request, adm *dispatch.Admission, index in
 	res, err := adm.Execute(r.Context(), index, &dispatch.Cell{
 		Name:      req.Name,
 		Program:   prog,
+		Image:     req.Binary,
 		Overrides: ov,
 		Verify:    req.Verify,
 	})

@@ -538,8 +538,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Resolve the program up front: build errors answer immediately without
-	// touching the coordinator, and the resolved image is what its cache is
-	// keyed on.
+	// touching the coordinator. The coordinator's cache keys a binary input
+	// on the request's image bytes (which a remote worker receives as they
+	// are) and any other input on the resolved program's encoding.
 	prog, _, err := engine.Resolve(r.Context(), &req)
 	if err != nil {
 		s.writeEngineError(w, err)
@@ -563,6 +564,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	res, err := s.dispatch.Execute(ctx, &dispatch.Cell{
 		Name:      req.Name,
 		Program:   prog,
+		Image:     req.Binary,
 		Overrides: req.Overrides,
 		Verify:    req.Verify,
 		UseRef:    req.UseRef,
