@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench golden gate smoke obssmoke chaossmoke netchaossmoke fuzzsmoke campaignsmoke attacksmoke replay ci clean
+.PHONY: all build vet test race bench golden gate smoke obssmoke chaossmoke netchaossmoke fuzzsmoke fuzztargets campaignsmoke attacksmoke replay ci clean
 
 all: build
 
@@ -118,6 +118,15 @@ netchaossmoke:
 fuzzsmoke:
 	$(GO) run ./cmd/levfuzz -count 400 -seed 1 -q
 
+# fuzztargets runs the native Go fuzz targets for a fixed wall-clock budget.
+# FuzzWireReply answers the coordinator's wire client with arbitrary bytes:
+# Execute must return without panicking, and every error must be a typed
+# simerr.RunError. Its seed corpus lives in
+# internal/dispatch/testdata/fuzz/FuzzWireReply; a failing input is written
+# there too, and then replays in every plain `go test` run.
+fuzztargets:
+	$(GO) test -run '^$$' -fuzz '^FuzzWireReply$$' -fuzztime 10s ./internal/dispatch
+
 # campaignsmoke is the coverage-guided campaign gate, under -race: a seeded
 # campaign is SIGKILLed mid-run from a subprocess and resumed — it must
 # resume at an epoch boundary, no committed case may re-execute, and the
@@ -148,8 +157,9 @@ replay:
 # gate, the levserve smoke test, the seeded chaos smoke (batch dispatch under
 # a transport-fault storm), the seeded network chaos smoke (remote TCP
 # workers under a connection-fault storm), the fixed-count fuzz smoke +
-# corpus replay, the kill -9 campaign resume smoke, the attack
-# expectation-matrix replay, and the golden timing-model diff.
+# corpus replay, the wire-client fuzz target, the kill -9 campaign resume
+# smoke, the attack expectation-matrix replay, and the golden timing-model
+# diff.
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -161,6 +171,7 @@ ci:
 	$(MAKE) chaossmoke
 	$(MAKE) netchaossmoke
 	$(MAKE) fuzzsmoke
+	$(MAKE) fuzztargets
 	$(MAKE) campaignsmoke
 	$(MAKE) attacksmoke
 	$(MAKE) replay

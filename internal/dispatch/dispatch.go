@@ -22,7 +22,7 @@
 // list exactly when it is idle and trusted. A slot is granted to one ticket
 // at a time, in ticket order; completion routes the slot through
 // breaker/restart logic back to the idle list. This gives single-in-flight
-// per worker (the stdio protocol requires it) and first-come-first-served
+// per worker (the wire protocol requires it) and first-come-first-served
 // grants, under one mutex.
 package dispatch
 
@@ -198,8 +198,7 @@ type Coordinator struct {
 	closeCh chan struct{}
 	wg      sync.WaitGroup
 
-	jmu sync.Mutex
-	jit *rand.Rand
+	jit *jitter
 
 	mCells        *obs.CounterVec // outcome: ok | cached | failure kind
 	mRetries      *obs.Counter
@@ -227,7 +226,7 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 		flights: make(map[string]*flight),
 		allDead: make(chan struct{}),
 		closeCh: make(chan struct{}),
-		jit:     rand.New(rand.NewSource(1)),
+		jit:     newJitter(1),
 	}
 	r := c.Registry
 	co.mCells = r.CounterVec("dispatch_cells_total", "Batch cells by final outcome.", "outcome")
@@ -510,17 +509,31 @@ func resultKey(ctx context.Context, cell *Cell) (string, bool) {
 	return engine.CacheKeyObserved(ctx, cell.Program, cell.Image, cell.Overrides.Policy, req.BuildConfig(), cell.UseRef, cell.Verify)
 }
 
-// sleepBackoff waits the exponential-with-jitter delay before attempt n.
-func (co *Coordinator) sleepBackoff(ctx context.Context, attempt int) error {
-	shift := attempt - 2 // first retry waits ~Backoff
-	if shift > 6 {
-		shift = 6
+// jitter is a seeded source of backoff delays, shared by one owner's
+// callers; the mutex keeps its draw sequence whole.
+type jitter struct {
+	mu  sync.Mutex
+	rng *rand.Rand
+}
+
+func newJitter(seed int64) *jitter { return &jitter{rng: rand.New(rand.NewSource(seed))} }
+
+// backoff is the one exponential backoff rule: base<<min(n, maxShift), at
+// most ceiling when ceiling is positive, with ±50% jitter.
+func (j *jitter) backoff(base time.Duration, n, maxShift int, ceiling time.Duration) time.Duration {
+	d := base << min(n, maxShift)
+	if ceiling > 0 && d > ceiling {
+		d = ceiling
 	}
-	base := co.cfg.Backoff << shift
-	co.jmu.Lock()
-	jitter := time.Duration(co.jit.Int63n(int64(base))) - base/2
-	co.jmu.Unlock()
-	t := time.NewTimer(base + jitter)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return d + time.Duration(j.rng.Int63n(int64(d))) - d/2
+}
+
+// sleepBackoff waits the exponential-with-jitter delay before attempt n; the
+// first retry waits ~Backoff.
+func (co *Coordinator) sleepBackoff(ctx context.Context, attempt int) error {
+	t := time.NewTimer(co.jit.backoff(co.cfg.Backoff, attempt-2, 6, 0))
 	defer t.Stop()
 	select {
 	case <-t.C:
@@ -779,13 +792,6 @@ func (co *Coordinator) requeue(s *slot) {
 
 // ---- introspection ----
 
-// Addressable is implemented by workers bound to a remote peer address
-// (remoteWorker); Snapshot uses it to label slots with the host they are
-// currently connected to.
-type Addressable interface {
-	Addr() string
-}
-
 // SlotStats is one worker slot's current disposition.
 type SlotStats struct {
 	ID      string `json:"id"`
@@ -827,8 +833,8 @@ func (co *Coordinator) Snapshot() Stats {
 		dead := s.dead
 		s.mu.Unlock()
 		ss := SlotStats{ID: s.id, Breaker: s.br.current().String(), Dead: dead}
-		if a, ok := w.(Addressable); ok {
-			ss.Peer = a.Addr()
+		if ww, ok := w.(*wireWorker); ok && ww.p != nil {
+			ss.Peer = ww.p.addr
 		}
 		st.Slots = append(st.Slots, ss)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,9 +21,11 @@ import (
 
 // TestMain re-execs the test binary as a wire-protocol worker when the
 // marker variable is set: Proc(os.Args[0]) then spawns real subprocess
-// workers that speak the real protocol over real pipes.
+// workers that speak the real protocol over real pipes. Fuzzing's worker
+// processes are re-execs too; they inherit the marker but are told apart by
+// their -test.fuzzworker flag.
 func TestMain(m *testing.M) {
-	if os.Getenv("LEVIOSO_DISPATCH_WORKER") == "1" {
+	if os.Getenv("LEVIOSO_DISPATCH_WORKER") == "1" && !slices.Contains(os.Args[1:], "-test.fuzzworker") {
 		if err := ServeWorker(context.Background(), os.Stdin, os.Stdout); err != nil {
 			os.Exit(1)
 		}
@@ -431,6 +434,29 @@ func TestBadPolicyRejectedLocally(t *testing.T) {
 	}
 }
 
+// TestProgramlessCellIsBuildError: a cell with neither Program nor Image is
+// the cell's own fault on every transport — a permanent build error, counted
+// under its kind and never retried.
+func TestProgramlessCellIsBuildError(t *testing.T) {
+	for name, sp := range map[string]Spawner{"inproc": Inproc(), "pipe": Pipe()} {
+		t.Run(name, func(t *testing.T) {
+			co := testCoordinator(t, Config{Workers: 1, Spawn: sp})
+			_, err := co.Execute(context.Background(), &Cell{
+				Name: "empty.lc", Overrides: engine.Overrides{Policy: "fence"},
+			})
+			if simerr.KindOf(err) != simerr.KindBuild {
+				t.Fatalf("err = %v (kind %v), want a build error", err, simerr.KindOf(err))
+			}
+			if st := co.Snapshot(); st.Retries != 0 || st.Restarts != 0 {
+				t.Fatalf("permanent failure was retried: %+v", st)
+			}
+			if n := co.mCells.With("build").Value(); n != 1 {
+				t.Fatalf(`dispatch_cells_total{outcome="build"} = %d, want 1`, n)
+			}
+		})
+	}
+}
+
 // TestExecuteCancelledWhileQueued: with the only slot held (TryHold), a cell
 // whose context ends while it waits for a worker fails as a transient
 // deadline wrapping ErrQueueTimeout — it never started — and a released
@@ -656,5 +682,28 @@ func TestCellConfigRunsThatCore(t *testing.T) {
 	}
 	if st := wire.Snapshot(); st.Retries != 0 || st.Restarts != 0 {
 		t.Fatalf("permanent rejection was retried: %+v", st)
+	}
+}
+
+// TestBackoffRule: the one backoff rule doubles per step up to its shift
+// cap, stops at the ceiling, and adds ±50% jitter from one Int63n draw per
+// call on the owner's seeded source, so a seed replays the same delays.
+func TestBackoffRule(t *testing.T) {
+	j := newJitter(7)
+	rng := rand.New(rand.NewSource(7))
+	base := 10 * time.Millisecond
+	for _, tc := range []struct {
+		n, maxShift int
+		ceiling     time.Duration
+	}{{0, 6, 0}, {3, 6, 0}, {9, 6, 0}, {0, 10, time.Second}, {5, 10, time.Second}, {12, 10, time.Second}} {
+		d := base << min(tc.n, tc.maxShift)
+		if tc.ceiling > 0 && d > tc.ceiling {
+			d = tc.ceiling
+		}
+		want := d + time.Duration(rng.Int63n(int64(d))) - d/2
+		if got := j.backoff(base, tc.n, tc.maxShift, tc.ceiling); got != want || got < d/2 || got >= d+d/2 {
+			t.Fatalf("backoff(%v, %d, %d, %v) = %v, want %v (within ±50%% of %v)",
+				base, tc.n, tc.maxShift, tc.ceiling, got, want, d)
+		}
 	}
 }

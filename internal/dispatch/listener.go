@@ -38,7 +38,7 @@ func (o *ListenOptions) normalize() {
 // ListenWorkers serves the worker side of the dispatch protocol to every
 // connection accepted on ln — the `levserve -worker-listen` daemon. Each
 // connection is one execution slot (strictly sequential calls, the same
-// contract as a stdio worker); a daemon serves many coordinators or many
+// contract as a subprocess worker); a daemon serves many coordinators or many
 // slots of one coordinator by accepting many connections. All connections
 // share one result cache, so any worker serves any repeat across the fleet.
 //

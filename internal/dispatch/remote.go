@@ -1,17 +1,13 @@
 package dispatch
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"levioso/internal/engine"
 	"levioso/internal/obs"
 )
 
@@ -108,19 +104,17 @@ type peer struct {
 
 // RemoteFleet turns a set of worker-daemon addresses into a Spawner: each
 // spawn dials the next address round-robin (skipping peers still serving a
-// redial backoff), performs the hello handshake, and returns a Worker whose
-// calls ride that one connection. Connection loss is the stdio abandoned-call
-// discipline extended to socket death: the worker poisons itself, the
-// coordinator's restart path calls the Spawner again, and the fleet's
-// per-peer backoff keeps a down host from eating the crash-loop budget in a
-// tight dial loop.
+// redial backoff), performs the hello handshake, and returns a wire worker
+// whose calls ride that one connection. A lost connection poisons the worker
+// like any other failed call, the coordinator's restart path calls the
+// Spawner again, and the fleet's per-peer backoff keeps a down host from
+// eating the crash-loop budget in a tight dial loop.
 type RemoteFleet struct {
 	cfg   RemoteConfig
 	peers []*peer
 	next  atomic.Uint64
 
-	jmu sync.Mutex
-	jit *rand.Rand
+	jit *jitter
 
 	mDials      *obs.CounterVec
 	mDialFails  *obs.CounterVec
@@ -137,7 +131,7 @@ func NewRemote(cfg RemoteConfig, addrs ...string) (*RemoteFleet, error) {
 		return nil, fmt.Errorf("dispatch: remote fleet needs at least one address")
 	}
 	c := cfg.withDefaults()
-	f := &RemoteFleet{cfg: c, jit: rand.New(rand.NewSource(c.Seed))}
+	f := &RemoteFleet{cfg: c, jit: newJitter(c.Seed)}
 	for _, a := range addrs {
 		f.peers = append(f.peers, &peer{addr: a})
 	}
@@ -150,16 +144,6 @@ func NewRemote(cfg RemoteConfig, addrs ...string) (*RemoteFleet, error) {
 	f.mHeartbeats = r.CounterVec("dispatch_remote_heartbeats_total", "Heartbeat frames received per peer.", "peer")
 	f.mConnected = r.GaugeVec("dispatch_remote_connected", "Live connections per worker peer.", "peer")
 	return f, nil
-}
-
-// Remote is the convenience form: a Spawner over the addresses with default
-// lifecycle tuning.
-func Remote(addrs ...string) Spawner {
-	f, err := NewRemote(RemoteConfig{}, addrs...)
-	if err != nil {
-		return func(context.Context) (Worker, error) { return nil, err }
-	}
-	return f.Spawner()
 }
 
 // Spawner adapts the fleet to the coordinator's worker-creation seam.
@@ -255,7 +239,7 @@ func (f *RemoteFleet) dial(ctx context.Context, p *peer) (Worker, error) {
 	if f.cfg.WrapConn != nil {
 		conn = f.cfg.WrapConn(conn)
 	}
-	w, err := newRemoteWorker(ctx, f, p, conn)
+	w, err := newWireWorker(ctx, &connHandle{conn: conn, f: f, p: p}, conn, conn)
 	if err != nil {
 		return nil, f.dialFailed(p, err)
 	}
@@ -269,18 +253,7 @@ func (f *RemoteFleet) dialFailed(p *peer, err error) error {
 	f.mDialFails.With(p.addr).Inc()
 	p.mu.Lock()
 	p.consecFails++
-	shift := p.consecFails - 1
-	if shift > 10 {
-		shift = 10
-	}
-	delay := f.cfg.RedialBackoff << shift
-	if delay > f.cfg.RedialMax {
-		delay = f.cfg.RedialMax
-	}
-	f.jmu.Lock()
-	jitter := time.Duration(f.jit.Int63n(int64(delay))) - delay/2
-	f.jmu.Unlock()
-	p.nextDial = time.Now().Add(delay + jitter)
+	p.nextDial = time.Now().Add(f.jit.backoff(f.cfg.RedialBackoff, p.consecFails-1, 10, f.cfg.RedialMax))
 	p.lastErr = err.Error()
 	p.mu.Unlock()
 	return err
@@ -311,222 +284,18 @@ func (f *RemoteFleet) connLost(p *peer) {
 	p.mu.Unlock()
 }
 
-// ---- remote worker ----
-
-// remoteWorker is one coordinator-side connection to a worker daemon. It
-// follows the stdio client discipline — strictly sequential calls, poisoning
-// on abandonment or any framing surprise — plus two TCP-only behaviors: the
-// read loop filters heartbeat frames, and a watchdog declares the peer
-// partitioned when nothing (heartbeat or response) arrives for the
-// heartbeat timeout, so a silently dropped peer fails the call instead of
-// hanging the batch until ctx expiry.
-type remoteWorker struct {
+// connHandle is a worker daemon's end of a TCP stream. There is no process
+// to reap: kill closes the socket and settles the peer's live count, and the
+// daemon itself keeps running.
+type connHandle struct {
+	conn net.Conn
 	f    *RemoteFleet
 	p    *peer
-	conn net.Conn
-	enc  *json.Encoder
-	sc   *bufio.Scanner
-
-	hbTimeout time.Duration
-	lastHeard atomic.Int64 // unix nanos; this connection only (the watchdog's clock)
-
-	nextID   atomic.Uint64
-	poisoned atomic.Bool
-	killOnce sync.Once
-
-	mu sync.Mutex
 }
 
-// Addr reports the peer address this worker is connected to (the
-// Addressable seam for per-slot stats).
-func (w *remoteWorker) Addr() string { return w.p.addr }
-
-// newRemoteWorker performs the hello handshake on a fresh connection. The
-// handshake read runs in a goroutine bounded by helloTimeout and ctx — the
-// connection may be wrapped by a fault injector whose reads ignore socket
-// deadlines, so the timer, not a read deadline, is the backstop (Close
-// unblocks any reader).
-func newRemoteWorker(ctx context.Context, f *RemoteFleet, p *peer, conn net.Conn) (*remoteWorker, error) {
-	w := &remoteWorker{f: f, p: p, conn: conn, enc: json.NewEncoder(conn)}
-	w.sc = bufio.NewScanner(conn)
-	w.sc.Buffer(make([]byte, 0, 64<<10), maxFrameBytes)
-
-	hello := make(chan error, 1)
-	go func() {
-		if !w.sc.Scan() {
-			hello <- transportErr("%s closed before hello: %v", p.addr, w.sc.Err())
-			return
-		}
-		w.heard()
-		var h wireHello
-		if err := json.Unmarshal(w.sc.Bytes(), &h); err != nil || h.Hello == nil {
-			hello <- transportErr("bad hello frame from %s", p.addr)
-			return
-		}
-		if h.Hello.SchemaVersion != WireSchemaVersion {
-			hello <- transportErr("%s speaks wire schema %d, coordinator speaks %d",
-				p.addr, h.Hello.SchemaVersion, WireSchemaVersion)
-			return
-		}
-		if f.cfg.HeartbeatTimeout > 0 {
-			w.hbTimeout = f.cfg.HeartbeatTimeout
-		} else if h.Hello.HBMillis > 0 {
-			w.hbTimeout = 3 * time.Duration(h.Hello.HBMillis) * time.Millisecond
-			if w.hbTimeout < time.Second {
-				w.hbTimeout = time.Second
-			}
-		}
-		hello <- nil
-	}()
-	timer := time.NewTimer(helloTimeout)
-	defer timer.Stop()
-	select {
-	case err := <-hello:
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-		return w, nil
-	case <-ctx.Done():
-		conn.Close()
-		return nil, transportErr("spawn cancelled: %v", ctx.Err())
-	case <-timer.C:
-		conn.Close()
-		return nil, transportErr("hello from %s timed out after %v", p.addr, helloTimeout)
-	}
+func (h *connHandle) kill() {
+	h.conn.Close()
+	h.f.connLost(h.p)
 }
 
-// heard stamps both the connection's watchdog clock and the peer's
-// stats-facing one.
-func (w *remoteWorker) heard() {
-	now := time.Now().UnixNano()
-	w.lastHeard.Store(now)
-	w.p.lastHeard.Store(now)
-}
-
-// call ships one frame and waits for its non-heartbeat reply. The reader
-// goroutine consumes heartbeats; the watchdog poisons the worker when the
-// connection goes silent past the heartbeat timeout. Any failure closes the
-// connection — unlike a stdio worker there is no process to reap, so Kill
-// here is just the socket teardown that unblocks the reader.
-func (w *remoteWorker) call(ctx context.Context, req wireRequest) (*wireResponse, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.poisoned.Load() {
-		return nil, transportErr("worker %s poisoned by an earlier failure", w.p.addr)
-	}
-	req.ID = w.nextID.Add(1)
-	// The watchdog measures silence within this call, not across idle gaps
-	// (heartbeats queued while idle are only drained once a reader runs).
-	w.heard()
-
-	type outcome struct {
-		resp *wireResponse
-		err  error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		if err := w.enc.Encode(req); err != nil {
-			ch <- outcome{nil, transportErr("write to %s: %v", w.p.addr, err)}
-			return
-		}
-		for {
-			if !w.sc.Scan() {
-				ch <- outcome{nil, transportErr("stream from %s ended: %v", w.p.addr, w.sc.Err())}
-				return
-			}
-			w.heard()
-			var resp wireResponse
-			if err := json.Unmarshal(w.sc.Bytes(), &resp); err != nil {
-				ch <- outcome{nil, transportErr("corrupt frame from %s: %v", w.p.addr, err)}
-				return
-			}
-			if resp.HB {
-				w.p.heartbeats.Add(1)
-				w.f.mHeartbeats.With(w.p.addr).Inc()
-				continue
-			}
-			ch <- outcome{&resp, nil}
-			return
-		}
-	}()
-
-	var wdC <-chan time.Time
-	if w.hbTimeout > 0 {
-		tick := w.hbTimeout / 4
-		if tick < time.Millisecond {
-			tick = time.Millisecond
-		}
-		wd := time.NewTicker(tick)
-		defer wd.Stop()
-		wdC = wd.C
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			// Same rule as stdio: no cancel frame exists, the stream
-			// position is unknown, the connection is done for.
-			w.poison()
-			return nil, transportErr("call to %s abandoned: %v", w.p.addr, ctx.Err())
-		case <-wdC:
-			if time.Since(time.Unix(0, w.lastHeard.Load())) > w.hbTimeout {
-				w.p.partitions.Add(1)
-				w.f.mPartitions.With(w.p.addr).Inc()
-				w.poison()
-				return nil, transportErr("peer %s partitioned: no frames for %v", w.p.addr, w.hbTimeout)
-			}
-		case out := <-ch:
-			if out.err != nil {
-				w.poison()
-				return nil, out.err
-			}
-			if out.resp.ID != req.ID {
-				w.poison()
-				return nil, transportErr("frame id mismatch from %s: got %d, want %d", w.p.addr, out.resp.ID, req.ID)
-			}
-			return out.resp, nil
-		}
-	}
-}
-
-// poison marks the worker untrusted and tears the socket down (unblocking
-// the reader goroutine).
-func (w *remoteWorker) poison() {
-	w.poisoned.Store(true)
-	w.Kill()
-}
-
-func (w *remoteWorker) Execute(ctx context.Context, c *Cell) (*engine.Result, error) {
-	req, err := c.request()
-	if err != nil {
-		return nil, err
-	}
-	resp, err := w.call(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	res, err := resultFromWire(resp)
-	if err != nil {
-		return nil, err
-	}
-	if res.Cached {
-		w.p.cacheHits.Add(1)
-		w.f.mCacheHits.With(w.p.addr).Inc()
-	}
-	return res, nil
-}
-
-func (w *remoteWorker) Kill() {
-	w.killOnce.Do(func() {
-		w.poisoned.Store(true)
-		w.conn.Close()
-		w.f.connLost(w.p)
-	})
-}
-
-func (w *remoteWorker) Close() error {
-	// Closing the socket is the clean shutdown signal too: the daemon's
-	// serve loop exits on EOF and keeps the daemon itself running.
-	w.Kill()
-	return nil
-}
+func (h *connHandle) wait() error { return nil }

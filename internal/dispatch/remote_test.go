@@ -483,7 +483,7 @@ func TestHelloV1Refused(t *testing.T) {
 			json.NewEncoder(outW).Encode(v1)
 			io.Copy(io.Discard, inR) // until the refusal closes the pipe
 		}()
-		_, err := newStdioWorker(context.Background(), h, inW, outR)
+		_, err := newWireWorker(context.Background(), h, inW, outR)
 		if simerr.KindOf(err) != simerr.KindTransport {
 			t.Fatalf("v1 stdio worker: err = %v, want a transport refusal", err)
 		}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"os/exec"
 	"sync"
@@ -32,9 +31,9 @@ type Cell struct {
 	Program *isa.Program
 	// Image, when non-nil, is the LEV64 image Program was loaded from (a
 	// binary request input, a wire frame). The result key hashes it and the
-	// stdio and TCP transports ship it as it is, so the program is never
-	// re-encoded. When nil, the key hashes Program's encoding and a wire
-	// frame marshals Program; nothing keeps a copy of the image.
+	// wire ships it as it is, so the program is never re-encoded. When nil,
+	// the key hashes Program's encoding and a wire frame marshals Program;
+	// nothing keeps a copy of the image.
 	Image []byte
 	// Overrides selects policy, ROB size, cycle limit, and deadline.
 	Overrides engine.Overrides
@@ -45,8 +44,8 @@ type Cell struct {
 	UseRef bool
 	// Config, when non-nil, is the core the cell runs on (nil means the
 	// default core); the Overrides apply on top. The wire carries no core
-	// configuration, so stdio and TCP workers reject such a cell as a
-	// permanent build error: only in-process workers run it.
+	// configuration, so wire workers reject such a cell as a permanent build
+	// error: only in-process workers run it.
 	Config *cpu.Config
 }
 
@@ -60,7 +59,7 @@ func (c *Cell) request() (wireRequest, error) {
 	img := c.Image
 	if img == nil {
 		if c.Program == nil {
-			return wireRequest{}, fmt.Errorf("dispatch: cell %q has no program", c.Name)
+			return wireRequest{}, simerr.New(simerr.KindBuild, "dispatch: cell %q has no program", c.Name)
 		}
 		var err error
 		if img, err = c.Program.MarshalBinary(); err != nil {
@@ -136,9 +135,8 @@ func (w *inprocWorker) Execute(ctx context.Context, c *Cell) (*engine.Result, er
 	if w.killed.Load() {
 		return nil, transportErr("worker killed")
 	}
-	if c.Program == nil && c.Image == nil {
-		return nil, fmt.Errorf("dispatch: cell %q has no program", c.Name)
-	}
+	// A cell with neither Program nor Image fails in engine.Run as a typed
+	// build error, like on the wire.
 	return engine.Run(ctx, c.engineRequest())
 }
 
@@ -147,27 +145,47 @@ func (w *inprocWorker) Close() error { w.Kill(); return nil }
 
 // ---- wire-protocol worker client ----
 
-// procHandle abstracts the thing on the far side of a stdio worker's pipes:
-// a real subprocess, or a goroutine serving the same protocol in-process.
-type procHandle interface {
-	// kill tears the far side down (idempotent); it must unblock any
-	// reader/writer on the pipes.
+// farEnd is whatever serves the far side of a wire worker's stream: a
+// subprocess, a ServeWorker goroutine, or a worker daemon's TCP connection.
+type farEnd interface {
+	// kill tears the far end down; it must unblock any reader/writer on the
+	// stream. A worker calls it at most once.
 	kill()
-	// wait blocks until the far side has exited.
+	// wait blocks until the far end has exited; a daemon's connection has
+	// no exit to wait for.
 	wait() error
 }
 
-// stdioWorker is the coordinator-side client for one worker speaking the
-// NDJSON protocol over a byte stream. Calls are strictly sequential (the
-// coordinator's slot ownership guarantees it); an abandoned call — context
-// cancelled while a frame is in flight — poisons the worker, because the
-// protocol has no cancel frame and the stream position is now unknown. The
-// coordinator responds by killing and respawning it.
-type stdioWorker struct {
-	proc procHandle
+// wireWorker is the coordinator-side client for one worker speaking the
+// NDJSON protocol over a byte stream: a subprocess's stdin/stdout, in-memory
+// pipes, or a TCP connection to a worker daemon. Calls are strictly
+// sequential (the coordinator's slot ownership guarantees it). Any failed
+// call poisons the worker and tears its stream down — an abandoned call
+// (context cancelled while a frame is in flight), a dead stream, a corrupt
+// frame, a reply to another frame — because the protocol has no cancel frame
+// and the stream position is now unknown. The coordinator responds by
+// respawning it.
+//
+// The reader skips heartbeat frames, and a far end that advertises
+// heartbeats (a worker daemon) gets a partition watchdog: a call fails when
+// nothing, heartbeat or reply, arrives for the heartbeat timeout, so a
+// silently dropped peer fails the call instead of hanging the batch until
+// ctx expiry.
+type wireWorker struct {
+	end  farEnd
 	in   io.WriteCloser
 	enc  *json.Encoder
 	sc   *bufio.Scanner
+	name string // the far end in errors: "worker", or the peer address
+
+	// f and p are the fleet and peer of a TCP stream (nil for local
+	// streams): calls move the peer's counters, and Snapshot labels the
+	// slot with its address.
+	f *RemoteFleet
+	p *peer
+
+	hbTimeout time.Duration // 0: no partition watchdog
+	lastHeard atomic.Int64  // unix nanos of this stream's latest frame (the watchdog's clock)
 
 	nextID   atomic.Uint64
 	poisoned atomic.Bool
@@ -176,59 +194,85 @@ type stdioWorker struct {
 	mu sync.Mutex // serializes call; belt over the coordinator's suspenders
 }
 
-// newStdioWorker wraps the pipe pair, performs the hello handshake, and
-// returns a ready worker.
-func newStdioWorker(ctx context.Context, proc procHandle, in io.WriteCloser, out io.Reader) (*stdioWorker, error) {
-	w := &stdioWorker{proc: proc, in: in, enc: json.NewEncoder(in)}
+// newWireWorker performs the hello handshake over in/out and returns a ready
+// worker. The handshake read runs in a goroutine bounded by helloTimeout and
+// ctx: a TCP stream may be wrapped by a fault injector whose reads ignore
+// socket deadlines, so the timer, not a read deadline, is the backstop. On
+// failure it only closes in, and the caller tears the far end down: a TCP
+// stream that never said hello never counted as a live connection, so it
+// must not count as a lost one either.
+func newWireWorker(ctx context.Context, end farEnd, in io.WriteCloser, out io.Reader) (*wireWorker, error) {
+	w := &wireWorker{end: end, in: in, enc: json.NewEncoder(in), name: "worker"}
+	if h, ok := end.(*connHandle); ok {
+		w.f, w.p, w.name = h.f, h.p, h.p.addr
+		w.hbTimeout = h.f.cfg.HeartbeatTimeout
+	}
 	w.sc = bufio.NewScanner(out)
 	w.sc.Buffer(make([]byte, 0, 64<<10), maxFrameBytes)
 
 	hello := make(chan error, 1)
 	go func() {
 		if !w.sc.Scan() {
-			hello <- transportErr("worker exited before hello: %v", w.sc.Err())
+			hello <- transportErr("%s closed before hello: %v", w.name, w.sc.Err())
 			return
 		}
+		w.heard()
 		var h wireHello
 		if err := json.Unmarshal(w.sc.Bytes(), &h); err != nil || h.Hello == nil {
-			hello <- transportErr("bad hello frame: %q", w.sc.Text())
+			hello <- transportErr("bad hello frame from %s", w.name)
 			return
 		}
 		if h.Hello.SchemaVersion != WireSchemaVersion {
-			hello <- transportErr("worker speaks wire schema %d, coordinator speaks %d",
-				h.Hello.SchemaVersion, WireSchemaVersion)
+			hello <- transportErr("%s speaks wire schema %d, coordinator speaks %d",
+				w.name, h.Hello.SchemaVersion, WireSchemaVersion)
 			return
+		}
+		if w.hbTimeout <= 0 && h.Hello.HBMillis > 0 {
+			w.hbTimeout = max(3*time.Duration(h.Hello.HBMillis)*time.Millisecond, time.Second)
 		}
 		hello <- nil
 	}()
 	timer := time.NewTimer(helloTimeout)
 	defer timer.Stop()
+	var err error
 	select {
-	case err := <-hello:
-		if err != nil {
-			w.Kill()
-			return nil, err
+	case err = <-hello:
+		if err == nil {
+			return w, nil
 		}
-		return w, nil
 	case <-ctx.Done():
-		w.Kill()
-		return nil, transportErr("spawn cancelled: %v", ctx.Err())
+		err = transportErr("spawn cancelled: %v", ctx.Err())
 	case <-timer.C:
-		w.Kill()
-		return nil, transportErr("worker hello timed out after %v", helloTimeout)
+		err = transportErr("hello from %s timed out after %v", w.name, helloTimeout)
+	}
+	in.Close()
+	return nil, err
+}
+
+// heard stamps the stream's watchdog clock and, for a TCP stream, the
+// peer's stats-facing one.
+func (w *wireWorker) heard() {
+	now := time.Now().UnixNano()
+	w.lastHeard.Store(now)
+	if w.p != nil {
+		w.p.lastHeard.Store(now)
 	}
 }
 
-// call ships one frame and waits for its reply. Write and read both happen
-// in a helper goroutine so a stalled worker (full pipe, wedged process)
-// cannot wedge the caller past its context.
-func (w *stdioWorker) call(ctx context.Context, req wireRequest) (*wireResponse, error) {
+// call ships one frame and waits for its non-heartbeat reply. Write and read
+// both happen in a helper goroutine so a stalled far end (full pipe, wedged
+// process, silent peer) cannot wedge the caller past its context or the
+// watchdog.
+func (w *wireWorker) call(ctx context.Context, req wireRequest) (*wireResponse, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.poisoned.Load() {
-		return nil, transportErr("worker poisoned by an abandoned call")
+		return nil, transportErr("%s poisoned by an earlier failure", w.name)
 	}
 	req.ID = w.nextID.Add(1)
+	// The watchdog measures silence within this call, not across idle gaps
+	// (heartbeats queued while idle are only drained once a reader runs).
+	w.heard()
 
 	type outcome struct {
 		resp *wireResponse
@@ -237,41 +281,65 @@ func (w *stdioWorker) call(ctx context.Context, req wireRequest) (*wireResponse,
 	ch := make(chan outcome, 1)
 	go func() {
 		if err := w.enc.Encode(req); err != nil {
-			ch <- outcome{nil, transportErr("write to worker: %v", err)}
+			ch <- outcome{nil, transportErr("write to %s: %v", w.name, err)}
 			return
 		}
-		if !w.sc.Scan() {
-			ch <- outcome{nil, transportErr("worker stream ended: %v", w.sc.Err())}
-			return
+		for {
+			if !w.sc.Scan() {
+				ch <- outcome{nil, transportErr("stream from %s ended: %v", w.name, w.sc.Err())}
+				return
+			}
+			w.heard()
+			var resp wireResponse
+			if err := json.Unmarshal(w.sc.Bytes(), &resp); err != nil {
+				ch <- outcome{nil, transportErr("corrupt frame from %s: %v", w.name, err)}
+				return
+			}
+			if !resp.HB {
+				ch <- outcome{&resp, nil}
+				return
+			}
+			if w.p != nil {
+				w.p.heartbeats.Add(1)
+				w.f.mHeartbeats.With(w.p.addr).Inc()
+			}
 		}
-		var resp wireResponse
-		if err := json.Unmarshal(w.sc.Bytes(), &resp); err != nil {
-			ch <- outcome{nil, transportErr("corrupt frame from worker: %v", err)}
-			return
-		}
-		ch <- outcome{&resp, nil}
 	}()
 
-	select {
-	case <-ctx.Done():
-		// No cancel frame in the protocol: the stream position is now
-		// unknown, so this worker can never be trusted again.
-		w.poisoned.Store(true)
-		return nil, transportErr("call abandoned: %v", ctx.Err())
-	case out := <-ch:
-		if out.err != nil {
-			w.poisoned.Store(true)
-			return nil, out.err
+	var wdC <-chan time.Time
+	if w.hbTimeout > 0 {
+		wd := time.NewTicker(max(w.hbTimeout/4, time.Millisecond))
+		defer wd.Stop()
+		wdC = wd.C
+	}
+	for {
+		select {
+		case <-ctx.Done():
+			w.Kill()
+			return nil, transportErr("call to %s abandoned: %v", w.name, ctx.Err())
+		case <-wdC:
+			if time.Since(time.Unix(0, w.lastHeard.Load())) > w.hbTimeout {
+				if w.p != nil {
+					w.p.partitions.Add(1)
+					w.f.mPartitions.With(w.p.addr).Inc()
+				}
+				w.Kill()
+				return nil, transportErr("peer %s partitioned: no frames for %v", w.name, w.hbTimeout)
+			}
+		case out := <-ch:
+			if out.err == nil && out.resp.ID != req.ID {
+				out.err = transportErr("frame id mismatch from %s: got %d, want %d", w.name, out.resp.ID, req.ID)
+			}
+			if out.err != nil {
+				w.Kill()
+				return nil, out.err
+			}
+			return out.resp, nil
 		}
-		if out.resp.ID != req.ID {
-			w.poisoned.Store(true)
-			return nil, transportErr("frame id mismatch: got %d, want %d", out.resp.ID, req.ID)
-		}
-		return out.resp, nil
 	}
 }
 
-func (w *stdioWorker) Execute(ctx context.Context, c *Cell) (*engine.Result, error) {
+func (w *wireWorker) Execute(ctx context.Context, c *Cell) (*engine.Result, error) {
 	req, err := c.request()
 	if err != nil {
 		return nil, err
@@ -280,38 +348,46 @@ func (w *stdioWorker) Execute(ctx context.Context, c *Cell) (*engine.Result, err
 	if err != nil {
 		return nil, err
 	}
-	return resultFromWire(resp)
+	res, err := resultFromWire(resp)
+	if err == nil && res.Cached && w.p != nil {
+		w.p.cacheHits.Add(1)
+		w.f.mCacheHits.With(w.p.addr).Inc()
+	}
+	return res, err
 }
 
-func (w *stdioWorker) Kill() {
+// Kill poisons the worker and tears its stream down, unblocking any reader.
+func (w *wireWorker) Kill() {
 	w.killOnce.Do(func() {
 		w.poisoned.Store(true)
 		w.in.Close()
-		w.proc.kill()
+		w.end.kill()
 	})
 }
 
-func (w *stdioWorker) Close() error {
-	// Closing stdin is the clean shutdown signal (the worker loop exits on
-	// EOF); kill guarantees progress if it doesn't comply.
+// Close shuts the worker down. Closing its input is the clean shutdown
+// signal — a worker's serve loop exits on EOF, and a daemon keeps serving
+// its other connections — and Kill then guarantees progress if the far end
+// does not comply within 2s.
+func (w *wireWorker) Close() error {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		w.proc.wait()
+		w.end.wait()
 	}()
 	w.in.Close()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
-		w.Kill()
-		<-done
 	}
+	w.Kill()
+	<-done
 	return nil
 }
 
 // ---- subprocess worker ----
 
-// cmdHandle adapts an exec.Cmd to procHandle.
+// cmdHandle is a worker subprocess's end of its stdin/stdout stream.
 type cmdHandle struct {
 	cmd      *exec.Cmd
 	waitOnce sync.Once
@@ -350,7 +426,7 @@ func Proc(exe string, args ...string) Spawner {
 			return nil, transportErr("spawn %s: %v", exe, err)
 		}
 		h := &cmdHandle{cmd: cmd}
-		w, err := newStdioWorker(ctx, h, in, out)
+		w, err := newWireWorker(ctx, h, in, out)
 		if err != nil {
 			h.kill()
 			h.wait() // reap
@@ -371,15 +447,12 @@ type pipeHandle struct {
 	inR    *io.PipeReader
 	outW   *io.PipeWriter
 	done   chan struct{}
-	once   sync.Once
 }
 
 func (h *pipeHandle) kill() {
-	h.once.Do(func() {
-		h.cancel()
-		h.inR.CloseWithError(io.EOF)
-		h.outW.CloseWithError(io.ErrClosedPipe)
-	})
+	h.cancel()
+	h.inR.CloseWithError(io.EOF)
+	h.outW.CloseWithError(io.ErrClosedPipe)
 }
 
 func (h *pipeHandle) wait() error {
@@ -400,7 +473,7 @@ func Pipe() Spawner {
 			ServeWorker(wctx, inR, outW)
 			outW.Close()
 		}()
-		w, err := newStdioWorker(ctx, h, inW, outR)
+		w, err := newWireWorker(ctx, h, inW, outR)
 		if err != nil {
 			h.kill()
 			return nil, err
