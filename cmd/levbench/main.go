@@ -11,14 +11,22 @@
 //	levbench -journal runs.jsonl  # record completed cells; re-run resumes
 //	levbench -retries 2 -run-timeout 10m
 //
+// One invocation is one evaluation plan: the requested experiments' cells
+// (workload, policy, core) are pooled, every distinct cell is simulated once
+// and verified against its workload's reference run, and each table renders
+// from the shared results. F3 at ROB 192, F4 at 0% and F6 at 64 entries
+// therefore reuse F1's default-core cells instead of re-running them.
+//
 // Robustness: the sweep supervisor degrades instead of aborting. A cell that
-// fails (watchdog, divergence, panic, deadline) renders as "n/a" in its
-// table; after all experiments a failure table is printed to stderr and
-// levbench exits non-zero, so completed work is never lost to one bad run.
-// With -journal, completed cells are recorded as they finish and a re-run of
-// the same invocation resumes without re-simulating them. SIGINT/SIGTERM
-// cancel the sweep cleanly: the journal is flushed and closed, and exit is
-// 130 with a resume hint rather than a mid-write kill.
+// fails (watchdog, divergence, panic, deadline) renders as "n/a" in every
+// table that reads it and is listed in a failure table after each such
+// report; at the end all failures are printed to stderr and levbench exits
+// non-zero, so completed work is never lost to one bad run. With -journal,
+// completed cells are recorded under their identity as they finish, and any
+// later invocation that plans the same cell — the same run, or another
+// experiment that reads it — resumes without re-simulating it.
+// SIGINT/SIGTERM cancel the plan cleanly: the journal is flushed and closed,
+// and exit is 130 with a resume hint rather than a mid-write kill.
 package main
 
 import (
@@ -102,21 +110,8 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if len(ids) == 0 {
-		if err := harness.RunAll(ctx, os.Stdout, opt); err != nil {
-			return failOrInterrupted(ctx, err)
-		}
-	} else {
-		for _, id := range ids {
-			if len(ids) > 1 {
-				fmt.Printf("==> experiment %s\n", id)
-			}
-			out, err := harness.RunExperiment(ctx, id, opt)
-			if err != nil {
-				return failOrInterrupted(ctx, err)
-			}
-			fmt.Println(out)
-		}
+	if err := harness.RunExperiments(ctx, os.Stdout, ids, opt); err != nil {
+		return failOrInterrupted(ctx, err)
 	}
 	if fs := opt.Failures(); len(fs) > 0 {
 		fmt.Fprintf(os.Stderr, "levbench: %d cell(s) failed; report is degraded (n/a entries)\n", len(fs))

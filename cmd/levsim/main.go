@@ -10,8 +10,12 @@
 // (useful for checking architectural behaviour). -deadline bounds the run's
 // wall-clock time (a hung simulation exits with a typed deadline error
 // instead of spinning forever); -journal records the completed run in a
-// JSON-lines journal and skips the simulation entirely if the same
-// (program, policy) pair is already recorded there.
+// JSON-lines journal and skips the simulation entirely if the same run is
+// already recorded there. A run is keyed by its identity, as levbench keys
+// its cells: the program image, the canonical policy, the core after every
+// override (-rob, -max-cycles) and the run mode (-ref), so a run that
+// differs in any of them simulates. With -trace there is no key, and the
+// journal is not read or written.
 //
 // The main is a thin flag-to-Request adapter over internal/engine; all
 // pipeline logic lives there.
@@ -53,27 +57,35 @@ func run() int {
 		return cli.Fail("levsim", err)
 	}
 	wname := filepath.Base(flag.Arg(0))
-	var journal *harness.Journal
-	if *journalPath != "" {
-		journal, err = harness.OpenJournal(*journalPath)
-		if err != nil {
-			return cli.Fail("levsim", err)
-		}
-		defer journal.Close()
-		if rec, ok := journal.Lookup("levsim", wname, *sf.Policy); ok {
-			fmt.Fprintf(os.Stderr, "levsim: journal hit for (%s, %s): exit=%d cycles=%d (not re-run)\n",
-				wname, *sf.Policy, rec.ExitCode, rec.Stats.Cycles)
-			return cli.ExitStatus(rec.ExitCode)
-		}
-	}
 	req, err := sf.Request(wname)
 	if err != nil {
 		return cli.Fail("levsim", err)
 	}
 	req.Binary = img
+	// A traced run's core carries a hook and has no key: it skips the journal.
+	var journal *harness.Journal
+	key, keyed := engine.ImageKey(img, req.Policy, req.BuildConfig(), req.UseRef, req.Verify)
+	if *journalPath != "" && keyed {
+		journal, err = harness.OpenJournal(*journalPath)
+		if err != nil {
+			return cli.Fail("levsim", err)
+		}
+		defer journal.Close()
+		if rec, ok := journal.Lookup(key); ok {
+			fmt.Fprintf(os.Stderr, "levsim: journal hit for (%s, %s): exit=%d cycles=%d (not re-run)\n",
+				wname, req.Policy, rec.ExitCode, rec.Stats.Cycles)
+			return cli.ExitStatus(rec.ExitCode)
+		}
+	}
 	res, err := engine.Run(context.Background(), req)
 	if err != nil {
 		return cli.Fail("levsim", err)
+	}
+	if journal != nil {
+		rec := harness.Run{Workload: wname, Policy: req.Policy, Stats: res.Stats, ExitCode: res.ExitCode}
+		if err := journal.Record(key, rec); err != nil {
+			fmt.Fprintln(os.Stderr, "levsim: journal write failed:", err)
+		}
 	}
 	fmt.Print(res.Output)
 	if res.Ref {
@@ -84,12 +96,6 @@ func run() int {
 		*sf.Policy, res.ExitCode, res.Stats.Cycles, res.Stats.Committed, res.Stats.IPC())
 	if *sf.Stats {
 		fmt.Fprintln(os.Stderr, res.Stats)
-	}
-	if journal != nil {
-		rec := harness.Run{Workload: wname, Policy: *sf.Policy, Stats: res.Stats, ExitCode: res.ExitCode}
-		if err := journal.Record("levsim", rec); err != nil {
-			fmt.Fprintln(os.Stderr, "levsim: journal write failed:", err)
-		}
 	}
 	return res.ExitStatus()
 }

@@ -5,14 +5,17 @@ package levioso
 // ci import gate), so this file drives exactly what they drive: the engine's
 // Compile step on an example program, simulation under two policies, and a
 // golden check of the architectural output — which must be identical across
-// policies and match the precomputed expectation byte for byte. One test
-// builds cmd/levbench itself, to check its flag validation and exit status.
+// policies and match the precomputed expectation byte for byte. Two tests
+// build a main itself: cmd/levbench, to check its flag validation and exit
+// status, and cmd/levsim, to check how its run journal keys runs.
 
 import (
 	"context"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"levioso/internal/engine"
@@ -109,6 +112,58 @@ func TestLevbenchRejectsNegativeFlags(t *testing.T) {
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 			t.Errorf("levbench %v: %v, want exit status 2\n%s", args, err, out)
+		}
+	}
+}
+
+// TestLevsimJournalKeysRuns: levsim -journal keys a run by its identity
+// (image, policy, core after overrides, run mode). Runs that differ only in
+// -rob, or only in -ref, must each simulate, and a repeat of each is a
+// journal hit; a traced run has no key and never touches the journal.
+func TestLevsimJournalKeysRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds cmd/levsim")
+	}
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go tool to build cmd/levsim with")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "levsim")
+	if out, err := exec.Command(goTool, "build", "-o", bin, "./cmd/levsim").CombinedOutput(); err != nil {
+		t.Fatalf("build levsim: %v\n%s", err, out)
+	}
+	prog, _, err := engine.Compile("e2e.lc", e2eSrc, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := prog.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	progPath := filepath.Join(dir, "p.bin")
+	if err := os.WriteFile(progPath, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	journal := filepath.Join(dir, "runs.jsonl")
+	hit := func(args ...string) bool {
+		args = append(append([]string{"-journal", journal}, args...), progPath)
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if err != nil && (!errors.As(err, &exit) || exit.ExitCode() != int(e2eWantExit)&0x7f) {
+			t.Fatalf("levsim %v: %v\n%s", args, err, out)
+		}
+		return strings.Contains(string(out), "journal hit")
+	}
+	runs := [][]string{{"-rob", "64"}, {"-rob", "256"}, {"-ref"}, {"-trace"}}
+	for _, args := range runs {
+		if hit(args...) {
+			t.Errorf("levsim %v: first run answered from the journal", args)
+		}
+	}
+	for _, args := range runs {
+		if want := args[0] != "-trace"; hit(args...) != want {
+			t.Errorf("levsim %v repeated: journal hit %v, want %v", args, !want, want)
 		}
 	}
 }

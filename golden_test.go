@@ -34,7 +34,7 @@ func TestLevbenchTestGolden(t *testing.T) {
 	}
 	var out bytes.Buffer
 	opt := harness.NewRunOpts(workloads.SizeTest)
-	if err := harness.RunAll(context.Background(), &out, opt); err != nil {
+	if err := harness.RunExperiments(context.Background(), &out, nil, opt); err != nil {
 		t.Fatal(err)
 	}
 	if fs := opt.Failures(); len(fs) > 0 {

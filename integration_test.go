@@ -76,12 +76,12 @@ func TestExperimentReportsRender(t *testing.T) {
 	}
 	// The cheap experiments end-to-end; the sweeps are covered by benches.
 	for _, id := range []string{"config", "compiler"} {
-		out, err := harness.RunExperiment(context.Background(), id, harness.NewRunOpts(workloads.SizeTest))
-		if err != nil {
+		var out strings.Builder
+		if err := harness.RunExperiments(context.Background(), &out, []string{id}, harness.NewRunOpts(workloads.SizeTest)); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if !strings.Contains(out, ":") || len(out) < 100 {
-			t.Errorf("%s: implausibly small report:\n%s", id, out)
+		if !strings.Contains(out.String(), ":") || out.Len() < 100 {
+			t.Errorf("%s: implausibly small report:\n%s", id, out.String())
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"hash"
 	"math"
 
+	"levioso/internal/core"
 	"levioso/internal/cpu"
 	"levioso/internal/isa"
 	"levioso/internal/mem"
@@ -96,7 +97,8 @@ func keyHash(policy string, cfg *cpu.Config, useRef, verify bool) (hash.Hash, bo
 }
 
 // appendConfig encodes every scalar field of cfg in declaration order, eight
-// bytes each. A field added to cpu.Config (or to the predictor, hierarchy or
+// bytes each, with a defaulted field encoded as the value it stands for. A
+// field added to cpu.Config (or to the predictor, hierarchy or
 // cache configurations it embeds) must be added here too;
 // TestCacheKeyCoversConfig fails until it is.
 func appendConfig(b []byte, c *cpu.Config) []byte {
@@ -120,5 +122,9 @@ func appendConfig(b []byte, c *cpu.Config) []byte {
 	b = binary.LittleEndian.AppendUint64(b, c.MaxCycles)
 	b = binary.LittleEndian.AppendUint64(b, c.MaxInsts)
 	b = binary.LittleEndian.AppendUint64(b, uint64(c.WatchdogCycles))
-	return binary.LittleEndian.AppendUint64(b, uint64(c.BDTEntries))
+	bdt := c.BDTEntries
+	if bdt == 0 {
+		bdt = core.NumSlots // the core's default table: 0 and NumSlots are one core
+	}
+	return binary.LittleEndian.AppendUint64(b, uint64(bdt))
 }

@@ -6,8 +6,41 @@ import (
 	"reflect"
 	"testing"
 
+	"levioso/internal/core"
 	"levioso/internal/cpu"
 )
+
+// TestCacheKeyDefaultBDT: BDTEntries 0 means a core.NumSlots-entry table,
+// so the two spellings of the default core share one key, and any other
+// size keys apart.
+func TestCacheKeyDefaultBDT(t *testing.T) {
+	prog, _, err := Compile("hist.lc", histSrc, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyOf := func(entries int) string {
+		cfg := cpu.DefaultConfig()
+		cfg.BDTEntries = entries
+		k, ok := CacheKey(prog, "levioso", cfg, false, false)
+		if !ok {
+			t.Fatalf("BDTEntries %d: uncacheable", entries)
+		}
+		return k
+	}
+	def := keyOf(0)
+	for _, tc := range []struct {
+		entries int
+		same    bool
+	}{
+		{core.NumSlots, true},
+		{32, false},
+		{1, false},
+	} {
+		if got := keyOf(tc.entries) == def; got != tc.same {
+			t.Errorf("BDTEntries %d keys like the default core: %v, want %v", tc.entries, got, tc.same)
+		}
+	}
+}
 
 // TestCacheKeyCoversConfig walks cpu.Config by reflection — the predictor,
 // the hierarchy and its three cache levels included — and perturbs every

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 	"time"
 
 	"levioso/internal/attack"
@@ -19,60 +18,31 @@ import (
 	"levioso/internal/workloads"
 )
 
-// RunOpts carries the sweep-level robustness knobs shared by every
-// experiment — scale, retry policy, per-run deadline, journal — and collects
-// the failed cells so callers can render a degraded report plus a failure
-// table instead of losing all completed work to one bad run.
+// RunOpts carries the run settings shared by every experiment — scale,
+// retry policy, per-run deadline, journal — and collects the failed cells so
+// callers can render a degraded report plus a failure table instead of
+// losing all completed work to one bad run.
 type RunOpts struct {
 	Size       workloads.Size
 	Retries    int           // transient-failure retries per cell
 	RunTimeout time.Duration // wall-clock bound per attempt; 0 = none
 	Journal    *Journal      // optional resume journal
 
-	mu       sync.Mutex
-	failures []Failure
+	failures  []Failure
+	testOnRun func(workload, policy string, attempt int) // see Spec.testOnRun
 }
 
 // NewRunOpts returns options for the given scale with no retries, no
 // deadline and no journal — the strict profile the tests and benchmarks use.
 func NewRunOpts(size workloads.Size) *RunOpts { return &RunOpts{Size: size} }
 
-// Failures returns every failed cell collected so far, in sweep order.
-func (o *RunOpts) Failures() []Failure {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return append([]Failure(nil), o.failures...)
-}
+// Failures returns every failed cell collected so far, in report order.
+func (o *RunOpts) Failures() []Failure { return append([]Failure(nil), o.failures...) }
 
-// addFailure records one failed cell (experiments that fail outside a
-// supervised sweep — e.g. a build-only experiment — report through this, so
-// every experiment degrades the same way).
-func (o *RunOpts) addFailure(f Failure) {
-	o.mu.Lock()
-	o.failures = append(o.failures, f)
-	o.mu.Unlock()
-}
-
-// sweep supervises spec under the options, collects its failures, and
-// returns the completed runs. tag namespaces the journal entries. ctx
-// cancellation (an interrupted levbench run) stops the sweep between cells;
-// cells already completed are in the journal, so a re-run resumes.
-func (o *RunOpts) sweep(ctx context.Context, spec Spec, tag string) ([]Run, error) {
-	spec.Tag = tag
-	spec.Retries = o.Retries
-	spec.RunTimeout = o.RunTimeout
-	spec.Journal = o.Journal
-	res, err := Supervise(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
-	if len(res.Failures) > 0 {
-		o.mu.Lock()
-		o.failures = append(o.failures, res.Failures...)
-		o.mu.Unlock()
-	}
-	return res.Runs, nil
-}
+// addFailure records one failed cell (experiments that fail outside the
+// plan — e.g. a build-only experiment — report through this, so every
+// experiment degrades the same way).
+func (o *RunOpts) addFailure(f Failure) { o.failures = append(o.failures, f) }
 
 // Experiment IDs (see DESIGN.md's experiment index).
 const (
@@ -96,58 +66,114 @@ func ExperimentIDs() []string {
 	}
 }
 
-// RunExperiment runs one experiment by ID and returns its rendered report.
-// Failed sweep cells degrade the report (rows render "n/a") and are
-// collected on opt; check opt.Failures() after the call. Cancelling ctx
-// (SIGINT in levbench) stops the underlying sweeps between cells.
-func RunExperiment(ctx context.Context, id string, opt *RunOpts) (string, error) {
-	switch id {
-	case ExpConfigID:
-		return ExpConfig(cpu.DefaultConfig()), nil
-	case ExpCharactID:
-		return ExpCharacterization(ctx, opt)
-	case ExpOverheadID:
-		return ExpOverhead(ctx, opt)
-	case ExpRestrictedID:
-		return ExpRestricted(ctx, opt)
-	case ExpROBID:
-		return ExpROBSweep(ctx, opt, []int{64, 96, 128, 192, 256, 384})
-	case ExpMispredictID:
-		return ExpMispredict(ctx, opt, []float64{0, 0.02, 0.05, 0.10, 0.20})
-	case ExpSecurityID:
-		return ExpSecurity()
-	case ExpAblationID:
-		return ExpAblation(ctx, opt)
-	case ExpBDTID:
-		return ExpBDTSweep(ctx, opt, []int{4, 8, 16, 32, 64})
-	case ExpCompilerID:
-		return ExpCompiler(ctx, opt)
-	default:
-		return "", fmt.Errorf("harness: unknown experiment %q (have %v)", id, ExperimentIDs())
-	}
+// experiment is one table or figure: the grids of cells it reads (none for
+// the tables that simulate nothing) and its renderer over their completed
+// runs, one slice per grid in grid order.
+type experiment struct {
+	grids  []Spec
+	render func(runs [][]Run) (string, error)
 }
 
-// RunAll runs every experiment, streaming reports to w. Partial failures
-// degrade the affected tables and accumulate on opt; a failure table is
-// appended after any experiment that lost cells. Cancellation stops before
-// the next experiment starts and surfaces as the context's error.
-func RunAll(ctx context.Context, w io.Writer, opt *RunOpts) error {
-	for _, id := range ExperimentIDs() {
-		if err := ctx.Err(); err != nil {
+// experiment declares experiment id at o's scale, with the parameter points
+// levbench reports.
+func (o *RunOpts) experiment(ctx context.Context, id string) (experiment, error) {
+	switch id {
+	case ExpConfigID:
+		return experiment{render: func([][]Run) (string, error) { return ExpConfig(cpu.DefaultConfig()), nil }}, nil
+	case ExpCharactID:
+		return charact(o.Size), nil
+	case ExpOverheadID:
+		return overhead(o.Size, "F1: execution-time overhead vs unsafe (lower is better)", secure.EvalNames()), nil
+	case ExpRestrictedID:
+		return restricted(o.Size), nil
+	case ExpROBID:
+		return robSweep(o.Size, []int{64, 96, 128, 192, 256, 384}), nil
+	case ExpMispredictID:
+		return mispredict(o.Size, []float64{0, 0.02, 0.05, 0.10, 0.20}), nil
+	case ExpSecurityID:
+		return experiment{render: func([][]Run) (string, error) { return ExpSecurity() }}, nil
+	case ExpAblationID:
+		return overhead(o.Size, "F5: Levioso ablation+extension (levioso-ctrl drops data tracking — UNSOUND, cost attribution only; levioso-ghost runs dependent loads invisibly — extension beyond the paper)",
+			secure.AblationNames()), nil
+	case ExpBDTID:
+		return bdtSweep(o.Size, []int{4, 8, 16, 32, 64}), nil
+	case ExpCompilerID:
+		return experiment{render: func([][]Run) (string, error) { return ExpCompiler(ctx, o) }}, nil
+	}
+	return experiment{}, fmt.Errorf("harness: unknown experiment %q (have %v)", id, ExperimentIDs())
+}
+
+// RunExperiments runs the experiments named by ids (empty means all) as one
+// evaluation plan and writes their reports to w in the order given: the
+// union of their cells is simulated once (see supervise), and each table
+// renders from the shared results. A "==> experiment" header precedes each
+// report when more than one id is given, and a failure table follows any
+// report that lost cells; the failed cells also accumulate on opt.
+// Cancelling ctx (SIGINT in levbench) stops the plan between cells and
+// surfaces as the context's error.
+func RunExperiments(ctx context.Context, w io.Writer, ids []string, opt *RunOpts) error {
+	if len(ids) == 0 {
+		ids = ExperimentIDs()
+	}
+	exps := make([]experiment, len(ids))
+	for i, id := range ids {
+		var err error
+		if exps[i], err = opt.experiment(ctx, id); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "==> experiment %s\n", id)
-		before := len(opt.Failures())
-		rep, err := RunExperiment(ctx, id, opt)
+	}
+	return opt.report(ctx, w, ids, exps)
+}
+
+// report supervises the union of exps' grids as one plan, then renders each
+// experiment to w in order: after its id's header when ids names several,
+// and before the failure table of the cells it lost, which also accumulate
+// on o.
+func (o *RunOpts) report(ctx context.Context, w io.Writer, ids []string, exps []experiment) error {
+	var grids []Spec
+	for _, e := range exps {
+		grids = append(grids, e.grids...)
+	}
+	set := Spec{Retries: o.Retries, RunTimeout: o.RunTimeout, Journal: o.Journal, testOnRun: o.testOnRun}
+	res, err := supervise(ctx, &set, grids)
+	if err != nil {
+		return err
+	}
+	for i, e := range exps {
+		before := len(o.failures)
+		runs := make([][]Run, len(e.grids))
+		for gi := range runs {
+			runs[gi] = res[0].Runs
+			o.failures = append(o.failures, res[0].Failures...)
+			res = res[1:]
+		}
+		text, err := e.render(runs)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(w, rep)
-		if fs := opt.Failures(); len(fs) > before {
-			fmt.Fprintln(w, RenderFailures(fs[before:]))
+		if len(ids) > 1 {
+			fmt.Fprintf(w, "==> experiment %s\n", ids[i])
+		}
+		fmt.Fprintln(w, text)
+		if len(o.failures) > before {
+			fmt.Fprintln(w, RenderFailures(o.failures[before:]))
 		}
 	}
 	return nil
+}
+
+// report1 plans and renders a single experiment, as RunExperiments does.
+func (o *RunOpts) report1(ctx context.Context, e experiment) (string, error) {
+	var b strings.Builder
+	err := o.report(ctx, &b, nil, []experiment{e})
+	return strings.TrimSuffix(b.String(), "\n"), err
+}
+
+// evalGrid is the full suite on the default core under policies.
+func evalGrid(size workloads.Size, policies []string) Spec {
+	spec := DefaultSpec()
+	spec.Size, spec.Policies = size, policies
+	return spec
 }
 
 // ExpConfig renders T1: the simulated core configuration table.
@@ -183,42 +209,37 @@ func cacheLine(c mem.CacheConfig) string {
 // ExpCharacterization renders T1b: per-workload behaviour on the unprotected
 // core — the numbers that explain the per-workload overhead texture in F1.
 func ExpCharacterization(ctx context.Context, opt *RunOpts) (string, error) {
-	spec := DefaultSpec()
-	spec.Size = opt.Size
-	spec.Policies = []string{secure.BaselineName()}
-	runs, err := opt.sweep(ctx, spec, ExpCharactID)
-	if err != nil {
-		return "", err
-	}
-	t := stats.NewTable("T1b: workload characterization (unsafe baseline)",
-		"workload", "class", "insts", "IPC", "br-miss%", "L1D-MPKI", "L2-MPKI", "spec-transmit%")
-	for _, r := range runs {
-		w, _ := workloads.ByName(r.Workload)
-		st := r.Stats
-		mpki := func(miss uint64) string {
-			return fmt.Sprintf("%.1f", 1000*float64(miss)/float64(st.Committed))
-		}
-		t.Add(r.Workload, w.Class,
-			fmt.Sprint(st.Committed),
-			fmt.Sprintf("%.2f", st.IPC()),
-			fmt.Sprintf("%.1f", 100*st.MispredictRate()),
-			mpki(st.L1DMisses), mpki(st.L2Misses),
-			stats.Pct(st.SpecFrac()))
-	}
-	return t.String(), nil
+	return opt.report1(ctx, charact(opt.Size))
 }
 
-// ExpOverhead renders F1 (the headline figure): per-workload and geomean
-// execution-time overhead of each defense relative to the unprotected core.
-func ExpOverhead(ctx context.Context, opt *RunOpts) (string, error) {
-	spec := DefaultSpec()
-	spec.Size = opt.Size
-	runs, err := opt.sweep(ctx, spec, ExpOverheadID)
-	if err != nil {
-		return "", err
-	}
-	return renderOverhead("F1: execution-time overhead vs unsafe (lower is better)",
-		NewIndex(runs), spec.Policies), nil
+func charact(size workloads.Size) experiment {
+	return experiment{grids: []Spec{evalGrid(size, []string{secure.BaselineName()})}, render: func(runs [][]Run) (string, error) {
+		t := stats.NewTable("T1b: workload characterization (unsafe baseline)",
+			"workload", "class", "insts", "IPC", "br-miss%", "L1D-MPKI", "L2-MPKI", "spec-transmit%")
+		for _, r := range runs[0] {
+			w, _ := workloads.ByName(r.Workload)
+			st := r.Stats
+			mpki := func(miss uint64) string {
+				return fmt.Sprintf("%.1f", 1000*float64(miss)/float64(st.Committed))
+			}
+			t.Add(r.Workload, w.Class,
+				fmt.Sprint(st.Committed),
+				fmt.Sprintf("%.2f", st.IPC()),
+				fmt.Sprintf("%.1f", 100*st.MispredictRate()),
+				mpki(st.L1DMisses), mpki(st.L2Misses),
+				stats.Pct(st.SpecFrac()))
+		}
+		return t.String(), nil
+	}}
+}
+
+// overhead renders F1 (the headline figure) and F5 (the Levioso ablation):
+// per-workload and geomean execution-time overhead of each policy relative
+// to the first, the unprotected core.
+func overhead(size workloads.Size, title string, policies []string) experiment {
+	return experiment{grids: []Spec{evalGrid(size, policies)}, render: func(runs [][]Run) (string, error) {
+		return renderOverhead(title, NewIndex(runs[0]), policies), nil
+	}}
 }
 
 func renderOverhead(title string, ix *Index, policies []string) string {
@@ -260,38 +281,34 @@ func renderOverhead(title string, ix *Index, policies []string) string {
 	return b.String()
 }
 
-// ExpRestricted renders F2: the fraction of dynamic transmitters each policy
+// restricted renders F2: the fraction of dynamic transmitters each policy
 // actually delayed, against the fraction a conservative scheme must delay
 // (transmitters issued under at least one unresolved branch).
-func ExpRestricted(ctx context.Context, opt *RunOpts) (string, error) {
-	spec := DefaultSpec()
-	spec.Size = opt.Size
-	spec.Policies = []string{secure.BaselineName(), "delay", "levioso"}
-	runs, err := opt.sweep(ctx, spec, ExpRestrictedID)
-	if err != nil {
-		return "", err
-	}
-	ix := NewIndex(runs)
-	t := stats.NewTable(
-		"F2: fraction of dynamic transmitters restricted",
-		"workload", "speculative@issue(unsafe)", "delay-restricted", "levioso-restricted", "bdt-stalls")
-	var spec_, del, lev []float64
-	for _, w := range ix.Workloads {
-		u, ok1 := ix.Stats(w, secure.BaselineName())
-		d, ok2 := ix.Stats(w, "delay")
-		l, ok3 := ix.Stats(w, "levioso")
-		if !ok1 || !ok2 || !ok3 {
-			t.Add(w, "n/a", "n/a", "n/a", "n/a")
-			continue
+func restricted(size workloads.Size) experiment {
+	grid := evalGrid(size, []string{secure.BaselineName(), "delay", "levioso"})
+	return experiment{grids: []Spec{grid}, render: func(runs [][]Run) (string, error) {
+		ix := NewIndex(runs[0])
+		t := stats.NewTable(
+			"F2: fraction of dynamic transmitters restricted",
+			"workload", "speculative@issue(unsafe)", "delay-restricted", "levioso-restricted", "bdt-stalls")
+		var spec_, del, lev []float64
+		for _, w := range ix.Workloads {
+			u, ok1 := ix.Stats(w, secure.BaselineName())
+			d, ok2 := ix.Stats(w, "delay")
+			l, ok3 := ix.Stats(w, "levioso")
+			if !ok1 || !ok2 || !ok3 {
+				t.Add(w, "n/a", "n/a", "n/a", "n/a")
+				continue
+			}
+			spec_ = append(spec_, u.SpecFrac())
+			del = append(del, d.RestrictedFrac())
+			lev = append(lev, l.RestrictedFrac())
+			t.Add(w, stats.Pct(u.SpecFrac()), stats.Pct(d.RestrictedFrac()),
+				stats.Pct(l.RestrictedFrac()), fmt.Sprint(l.BDTAllocStalls))
 		}
-		spec_ = append(spec_, u.SpecFrac())
-		del = append(del, d.RestrictedFrac())
-		lev = append(lev, l.RestrictedFrac())
-		t.Add(w, stats.Pct(u.SpecFrac()), stats.Pct(d.RestrictedFrac()),
-			stats.Pct(l.RestrictedFrac()), fmt.Sprint(l.BDTAllocStalls))
-	}
-	t.Add("mean", stats.Pct(stats.Mean(spec_)), stats.Pct(stats.Mean(del)), stats.Pct(stats.Mean(lev)), "")
-	return t.String(), nil
+		t.Add("mean", stats.Pct(stats.Mean(spec_)), stats.Pct(stats.Mean(del)), stats.Pct(stats.Mean(lev)), "")
+		return t.String(), nil
+	}}
 }
 
 // SensitivityWorkloads is the six-kernel subset used by the sensitivity
@@ -312,64 +329,75 @@ func SensitivityWorkloads() []workloads.Workload {
 	return out
 }
 
+// sensitivity declares a sweep over the six-kernel subset under policies:
+// one grid per point, each on the default core as vary(i) changes it, and
+// one table row per grid — vary's label, then row's cells.
+func sensitivity(size workloads.Size, title string, header []string, points int,
+	vary func(i int, cfg *cpu.Config) string, policies []string, row func(runs []Run) []string) experiment {
+	labels := make([]string, points)
+	e := experiment{render: func(runs [][]Run) (string, error) {
+		t := stats.NewTable(title, header...)
+		for i, r := range runs {
+			t.Add(append([]string{labels[i]}, row(r)...)...)
+		}
+		return t.String(), nil
+	}}
+	for i := range labels {
+		cfg := defaultRunConfig()
+		labels[i] = vary(i, &cfg)
+		e.grids = append(e.grids, Spec{Workloads: SensitivityWorkloads(), Policies: policies, Size: size, Config: cfg, Verify: true})
+	}
+	return e
+}
+
+// evalSensitivity is sensitivity over the eval policies, each row the
+// geomean overhead of every defense.
+func evalSensitivity(size workloads.Size, title, param string, points int, vary func(i int, cfg *cpu.Config) string) experiment {
+	policies := secure.EvalNames()
+	return sensitivity(size, title, append([]string{param}, policies[1:]...), points, vary, policies,
+		func(runs []Run) []string {
+			ix := NewIndex(runs)
+			var row []string
+			for _, p := range policies[1:] {
+				row = append(row, stats.Pct(ix.GeoMeanOverhead(p, policies[0])))
+			}
+			return row
+		})
+}
+
 // ExpROBSweep renders F3: geomean overhead of each policy as the window
 // (ROB) scales — bigger windows widen the speculation shadow, growing the
 // gap between conservative schemes and Levioso.
 func ExpROBSweep(ctx context.Context, opt *RunOpts, robs []int) (string, error) {
-	policies := secure.EvalNames()
-	t := stats.NewTable("F3: geomean overhead vs ROB size (6-workload subset)",
-		append([]string{"ROB"}, policies[1:]...)...)
-	for _, rob := range robs {
-		cfg := defaultRunConfig()
-		cfg.ROBSize = rob
-		cfg.IQSize = rob / 3
-		cfg.LQSize = rob / 4
-		cfg.SQSize = rob / 6
-		cfg.NumPhysRegs = 32 + rob + 76
-		spec := Spec{
-			Workloads: SensitivityWorkloads(), Policies: policies,
-			Size: opt.Size, Config: cfg, Verify: false,
-		}
-		runs, err := opt.sweep(ctx, spec, fmt.Sprintf("rob=%d", rob))
-		if err != nil {
-			return "", err
-		}
-		ix := NewIndex(runs)
-		row := []string{fmt.Sprint(rob)}
-		for _, p := range policies[1:] {
-			row = append(row, stats.Pct(ix.GeoMeanOverhead(p, policies[0])))
-		}
-		t.Add(row...)
-	}
-	return t.String(), nil
+	return opt.report1(ctx, robSweep(opt.Size, robs))
+}
+
+func robSweep(size workloads.Size, robs []int) experiment {
+	return evalSensitivity(size, "F3: geomean overhead vs ROB size (6-workload subset)", "ROB", len(robs),
+		func(i int, cfg *cpu.Config) string {
+			rob := robs[i]
+			cfg.ROBSize = rob
+			cfg.IQSize = rob / 3
+			cfg.LQSize = rob / 4
+			cfg.SQSize = rob / 6
+			cfg.NumPhysRegs = 32 + rob + 76
+			return fmt.Sprint(rob)
+		})
 }
 
 // ExpMispredict renders F4: geomean overhead as predictor quality degrades
 // (forced extra misprediction rate). Worse prediction means more and longer
 // speculation shadows: all defenses get more expensive, Levioso least.
 func ExpMispredict(ctx context.Context, opt *RunOpts, rates []float64) (string, error) {
-	policies := secure.EvalNames()
-	t := stats.NewTable("F4: geomean overhead vs forced extra mispredict rate (6-workload subset)",
-		append([]string{"rate"}, policies[1:]...)...)
-	for _, rate := range rates {
-		cfg := defaultRunConfig()
-		cfg.Predictor.ForceMispredictRate = rate
-		spec := Spec{
-			Workloads: SensitivityWorkloads(), Policies: policies,
-			Size: opt.Size, Config: cfg, Verify: false,
-		}
-		runs, err := opt.sweep(ctx, spec, fmt.Sprintf("mispredict=%g", rate))
-		if err != nil {
-			return "", err
-		}
-		ix := NewIndex(runs)
-		row := []string{fmt.Sprintf("%.0f%%", 100*rate)}
-		for _, p := range policies[1:] {
-			row = append(row, stats.Pct(ix.GeoMeanOverhead(p, policies[0])))
-		}
-		t.Add(row...)
-	}
-	return t.String(), nil
+	return opt.report1(ctx, mispredict(opt.Size, rates))
+}
+
+func mispredict(size workloads.Size, rates []float64) experiment {
+	return evalSensitivity(size, "F4: geomean overhead vs forced extra mispredict rate (6-workload subset)", "rate", len(rates),
+		func(i int, cfg *cpu.Config) string {
+			cfg.Predictor.ForceMispredictRate = rates[i]
+			return fmt.Sprintf("%.0f%%", 100*rates[i])
+		})
 }
 
 // ExpSecurity renders T2: the attack matrix over four attacks — Spectre-V1
@@ -406,52 +434,30 @@ func ExpSecurity() (string, error) {
 	return t.String(), nil
 }
 
-// ExpAblation renders F5: Levioso component ablation — control-only
-// annotations (unsound, cheaper) vs the full control+data design, plus the
-// taint baseline for calibration.
-func ExpAblation(ctx context.Context, opt *RunOpts) (string, error) {
-	spec := DefaultSpec()
-	spec.Size = opt.Size
-	spec.Policies = secure.AblationNames()
-	runs, err := opt.sweep(ctx, spec, ExpAblationID)
-	if err != nil {
-		return "", err
-	}
-	out := renderOverhead("F5: Levioso ablation+extension (levioso-ctrl drops data tracking — UNSOUND, cost attribution only; levioso-ghost runs dependent loads invisibly — extension beyond the paper)",
-		NewIndex(runs), spec.Policies)
-	return out, nil
-}
-
 // ExpBDTSweep renders F6: Levioso overhead and rename stalls as the Branch
 // Dependency Table shrinks — the hardware-cost knob. The table is sized so
 // capacity stalls are rare at 64 entries; this sweep shows where the knee is.
 func ExpBDTSweep(ctx context.Context, opt *RunOpts, sizes []int) (string, error) {
-	t := stats.NewTable("F6: levioso geomean overhead vs Branch Dependency Table size (6-workload subset)",
-		"BDT entries", "levioso overhead", "alloc stalls")
-	for _, n := range sizes {
-		cfg := defaultRunConfig()
-		cfg.BDTEntries = n
-		spec := Spec{
-			Workloads: SensitivityWorkloads(),
-			Policies:  []string{secure.BaselineName(), "levioso"},
-			Size:      opt.Size, Config: cfg, Verify: false,
-		}
-		runs, err := opt.sweep(ctx, spec, fmt.Sprintf("bdt=%d", n))
-		if err != nil {
-			return "", err
-		}
-		ix := NewIndex(runs)
-		var stalls uint64
-		for _, r := range runs {
-			if r.Policy == "levioso" {
-				stalls += r.Stats.BDTAllocStalls
+	return opt.report1(ctx, bdtSweep(opt.Size, sizes))
+}
+
+func bdtSweep(size workloads.Size, sizes []int) experiment {
+	policies := []string{secure.BaselineName(), "levioso"}
+	return sensitivity(size, "F6: levioso geomean overhead vs Branch Dependency Table size (6-workload subset)",
+		[]string{"BDT entries", "levioso overhead", "alloc stalls"}, len(sizes),
+		func(i int, cfg *cpu.Config) string {
+			cfg.BDTEntries = sizes[i]
+			return fmt.Sprint(sizes[i])
+		}, policies,
+		func(runs []Run) []string {
+			var stalls uint64
+			for _, r := range runs {
+				if r.Policy == "levioso" {
+					stalls += r.Stats.BDTAllocStalls
+				}
 			}
-		}
-		t.Add(fmt.Sprint(n),
-			stats.Pct(ix.GeoMeanOverhead("levioso", spec.Policies[0])),
-			fmt.Sprint(stalls))
-	}
-	return t.String(), nil
+			return []string{stats.Pct(NewIndex(runs).GeoMeanOverhead("levioso", policies[0])), fmt.Sprint(stalls)}
+		})
 }
 
 // ExpCompiler renders T3: per-workload Levioso compiler pass statistics. It

@@ -1,7 +1,9 @@
-// Package harness runs the paper's experiments: it sweeps the workload suite
-// across secure-speculation policies and core configurations and renders the
-// tables and figures indexed in DESIGN.md (T1–T3, F1–F5). cmd/levbench and
-// the repository benchmarks are thin wrappers over this package.
+// Package harness runs the paper's experiments: each experiment declares the
+// grids of (workload, policy, core) cells it reads, one evaluation plan
+// simulates every distinct cell of the requested experiments once, and the
+// tables and figures indexed in DESIGN.md (T1–T3, F1–F6) render from the
+// shared results. cmd/levbench and the repository benchmarks are thin
+// wrappers over this package.
 package harness
 
 import (
@@ -9,6 +11,7 @@ import (
 
 	"levioso/internal/cpu"
 	"levioso/internal/faultinject"
+	"levioso/internal/obs"
 	"levioso/internal/secure"
 	"levioso/internal/stats"
 	"levioso/internal/workloads"
@@ -22,7 +25,10 @@ type Run struct {
 	ExitCode uint64
 }
 
-// Spec describes a sweep.
+// Spec describes a sweep: a grid of cells (Workloads × Policies on Config
+// at Size) and the run settings that supervise it, from Retries down. An
+// experiment declares grids only; the run settings of a levbench plan come
+// from RunOpts.
 type Spec struct {
 	Workloads []workloads.Workload
 	Policies  []string
@@ -32,10 +38,6 @@ type Spec struct {
 	// (exit code and console output) and fails on divergence.
 	Verify bool
 
-	// Tag namespaces this sweep's cells in the run journal, so parameter
-	// sweeps that reuse (workload, policy) keys under different core
-	// configurations (e.g. "rob=128" vs "rob=256") do not collide.
-	Tag string
 	// Retries is how many times the supervisor re-runs a cell after a
 	// transient failure (deadline, panic); permanent failures — watchdog,
 	// cycle limit, divergence — never retry. 0 (or less) means one attempt
@@ -48,8 +50,8 @@ type Spec struct {
 	// RunTimeout bounds each attempt's wall-clock time; 0 = unbounded.
 	// Expiry surfaces as simerr.ErrDeadline, classified transient.
 	RunTimeout time.Duration
-	// Journal, when non-nil, records each completed cell and lets an
-	// interrupted sweep resume without re-executing them.
+	// Journal, when non-nil, records each completed cell under its key and
+	// lets an interrupted sweep resume without re-executing them.
 	Journal *Journal
 	// Faults, when non-nil, returns the fault plan to inject into a cell's
 	// core (nil = run clean), asked once per cell. Every attempt of the cell
@@ -61,6 +63,10 @@ type Spec struct {
 	// testOnRun observes every executed attempt (test instrumentation; the
 	// journal-resume tests count re-executions through it).
 	testOnRun func(workload, policy string, attempt int)
+	// testRegistry, when non-nil, receives the sweep coordinator's dispatch
+	// metrics (test instrumentation; otherwise they go to a throwaway
+	// registry).
+	testRegistry *obs.Registry
 }
 
 // DefaultSpec sweeps the full suite over the headline policies at reference

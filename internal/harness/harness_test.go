@@ -3,9 +3,11 @@ package harness
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"levioso/internal/cpu"
+	"levioso/internal/obs"
 	"levioso/internal/workloads"
 )
 
@@ -64,8 +66,56 @@ func TestExpCompilerRenders(t *testing.T) {
 }
 
 func TestRunExperimentUnknown(t *testing.T) {
-	if _, err := RunExperiment(context.Background(), "bogus", NewRunOpts(workloads.SizeTest)); err == nil {
+	var out strings.Builder
+	err := RunExperiments(context.Background(), &out, []string{ExpConfigID, "bogus"}, NewRunOpts(workloads.SizeTest))
+	if err == nil {
 		t.Error("unknown experiment accepted")
+	}
+	if out.Len() != 0 {
+		t.Errorf("reports written before the unknown id was rejected:\n%s", out.String())
+	}
+}
+
+// TestPlanSimulatesEachCellOnce: F1 and F2 planned together simulate F1's
+// 84 cells (12 kernels x 7 eval policies) once each; F2's 36 are among them.
+// Run as two sweeps, they took 120 attempts.
+func TestPlanSimulatesEachCellOnce(t *testing.T) {
+	reg := obs.NewRegistry()
+	opt := NewRunOpts(workloads.SizeTest)
+	var mu sync.Mutex
+	executed := map[[2]string]int{}
+	opt.testOnRun = func(w, p string, attempt int) {
+		mu.Lock()
+		executed[[2]string{w, p}]++
+		mu.Unlock()
+	}
+	var out strings.Builder
+	ids := []string{ExpOverheadID, ExpRestrictedID}
+	if err := RunExperiments(obs.WithRegistry(context.Background(), reg), &out, ids, opt); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("harness_attempts_total", "").Value(); got != 84 {
+		t.Errorf("harness_attempts_total = %d, want 84", got)
+	}
+	grid := evalGrid(workloads.SizeTest, nil)
+	keys := map[string][2]string{}
+	for wp, n := range executed {
+		if n != 1 {
+			t.Errorf("%s/%s executed %d times", wp[0], wp[1], n)
+		}
+		key := cellKeyOf(t, grid, wp[0], wp[1])
+		if other, dup := keys[key]; dup {
+			t.Errorf("%v and %v executed the same cell key", wp, other)
+		}
+		keys[key] = wp
+	}
+	for _, want := range []string{"==> experiment overhead", "==> experiment restricted", "F1:", "F2:"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("report missing %q", want)
+		}
+	}
+	if fs := opt.Failures(); len(fs) != 0 || strings.Contains(out.String(), "n/a") {
+		t.Errorf("clean plan degraded: %v\n%s", fs, out.String())
 	}
 }
 

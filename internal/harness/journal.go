@@ -12,9 +12,12 @@ import (
 // Journal is an append-only JSON-lines record of completed sweep cells. Each
 // line is one journalEntry; a sweep that was interrupted (crash, ^C, power
 // loss) reopens the same file and resumes, skipping every cell already
-// recorded. Entries are keyed (tag, workload, policy): the tag namespaces
-// the sweeps inside one experiment run (e.g. "overhead" vs "rob=128"), so
-// one journal file can carry a whole levbench invocation.
+// recorded. Entries are keyed by cell identity (the engine.CacheKey of the
+// program, canonical policy, core configuration and run mode), so one
+// journal file can carry a whole levbench invocation, and a cell completed
+// for one experiment counts for every experiment that reads it. The workload
+// and policy are kept as labels. A line without a key (an older journal's)
+// is ignored, and its cell re-runs.
 //
 // The journal deliberately stores the run's statistics, not just its
 // identity, so resumed cells rebuild their reports without re-simulating.
@@ -23,13 +26,11 @@ import (
 type Journal struct {
 	mu   sync.Mutex
 	f    *journal.File
-	seen map[journalKey]Run
+	seen map[string]Run
 }
 
-type journalKey struct{ tag, workload, policy string }
-
 type journalEntry struct {
-	Tag      string    `json:"tag,omitempty"`
+	Key      string    `json:"key"`
 	Workload string    `json:"workload"`
 	Policy   string    `json:"policy"`
 	ExitCode uint64    `json:"exit"`
@@ -39,13 +40,13 @@ type journalEntry struct {
 // OpenJournal opens (creating if absent) the run journal at path and loads
 // every completed cell recorded by earlier invocations.
 func OpenJournal(path string) (*Journal, error) {
-	j := &Journal{seen: make(map[journalKey]Run)}
+	j := &Journal{seen: make(map[string]Run)}
 	f, err := journal.Open(path, func(line []byte) {
 		var e journalEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			return // foreign line: ignore, the cell just re-runs
+		if err := json.Unmarshal(line, &e); err != nil || e.Key == "" {
+			return // foreign or keyless line: ignore, the cell just re-runs
 		}
-		j.seen[journalKey{e.Tag, e.Workload, e.Policy}] = Run{
+		j.seen[e.Key] = Run{
 			Workload: e.Workload, Policy: e.Policy,
 			Stats: e.Stats, ExitCode: e.ExitCode,
 		}
@@ -57,11 +58,11 @@ func OpenJournal(path string) (*Journal, error) {
 	return j, nil
 }
 
-// Lookup returns the recorded run for a cell, if any.
-func (j *Journal) Lookup(tag, workload, policy string) (Run, bool) {
+// Lookup returns the run recorded under a cell key, if any.
+func (j *Journal) Lookup(key string) (Run, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	r, ok := j.seen[journalKey{tag, workload, policy}]
+	r, ok := j.seen[key]
 	return r, ok
 }
 
@@ -69,15 +70,15 @@ func (j *Journal) Lookup(tag, workload, policy string) (Run, bool) {
 // concurrent use by the sweep goroutines; the append is fsynced before
 // Record returns, so a power loss can lose at most the entry being written —
 // never previously recorded cells.
-func (j *Journal) Record(tag string, r Run) error {
+func (j *Journal) Record(key string, r Run) error {
 	if err := j.f.Append(journalEntry{
-		Tag: tag, Workload: r.Workload, Policy: r.Policy,
+		Key: key, Workload: r.Workload, Policy: r.Policy,
 		ExitCode: r.ExitCode, Stats: r.Stats,
 	}); err != nil {
 		return err
 	}
 	j.mu.Lock()
-	j.seen[journalKey{tag, r.Workload, r.Policy}] = r
+	j.seen[key] = r
 	j.mu.Unlock()
 	return nil
 }

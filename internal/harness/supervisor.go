@@ -1,20 +1,24 @@
 package harness
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
 	"levioso/internal/dispatch"
 	"levioso/internal/engine"
 	"levioso/internal/faultinject"
+	"levioso/internal/isa"
 	"levioso/internal/obs"
 	"levioso/internal/ref"
 	"levioso/internal/simerr"
 	"levioso/internal/stats"
+	"levioso/internal/workloads"
 )
 
 // Failure is one (workload, policy) cell the supervisor could not complete.
@@ -35,152 +39,210 @@ type SweepResult struct {
 	Resumed  int
 }
 
-// cell is one (workload, policy) slot of the sweep and, while pending, the
-// dispatch cell it runs as.
+// program is one workload built once per plan, with its reference run.
+type program struct {
+	prog *isa.Program
+	want ref.Result // the reference result; zero until a verifying grid runs it
+	err  error      // build or reference failure: the workload's cells fail with it
+}
+
+// cell is one distinct cell of a plan and, while pending, the dispatch cell
+// it runs as.
 type cell struct {
 	dispatch.Cell
-	policy   string            // as the Spec spells it; the coordinator canonicalizes Overrides.Policy
-	want     ref.Result        // the workload's reference result, shared by its cells
+	policy   string            // as first requested; the coordinator canonicalizes Overrides.Policy
+	prog     *program          // shared by the workload's cells
 	plan     *faultinject.Plan // Spec.Faults' plan for the cell, nil to run clean
+	key      string            // the cell's identity and journal key; empty for a faulted cell
 	run      Run
 	err      error
 	attempts int // numbered by the worker; a cell's attempts run one after another
-	done     bool
+	resumed  bool
 }
 
-// Supervise runs every (workload, policy) pair on a dispatch.Coordinator
-// with GOMAXPROCS in-process slots, and degrades instead of aborting: the
-// engine recovers a per-run panic into simerr.ErrPanic, each attempt is
-// bounded by Spec.RunTimeout, the coordinator retries transient failures
-// with capped exponential backoff, and one bad cell becomes a Failure entry
-// while every other cell still returns its Run. Cells are admitted at once
-// and start in Spec order. With Spec.Journal set, completed cells are
-// recorded as they finish and an interrupted sweep resumes without
-// re-executing them.
+// plan is the union of several grids' cells: each workload built once per
+// size, each distinct cell once.
+type plan struct {
+	set      *Spec
+	progs    map[progKey]*program
+	keyed    map[string]*cell
+	pending  []*cell // the distinct cells left to run, in plan order
+	outcomes *obs.CounterVec
+}
+
+type progKey struct {
+	name string
+	size workloads.Size
+}
+
+// Supervise runs every (workload, policy) pair of spec on a
+// dispatch.Coordinator with GOMAXPROCS in-process slots, and degrades
+// instead of aborting: the engine recovers a per-run panic into
+// simerr.ErrPanic, each attempt is bounded by Spec.RunTimeout, the
+// coordinator retries transient failures with capped exponential backoff,
+// and one bad cell becomes a Failure entry while every other cell still
+// returns its Run. With Spec.Journal set, completed cells are recorded as
+// they finish and an interrupted sweep resumes without re-executing them.
+// It is the one-grid case of the plan runner levbench drives.
 //
 // The returned error is reserved for sweep-level problems (a cancelled
 // context, a journal write failure); per-cell errors are in Failures.
 func Supervise(ctx context.Context, spec Spec) (*SweepResult, error) {
+	res, err := supervise(ctx, &spec, []Spec{spec})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// supervise is the plan runner: it runs the union of grids' cells under
+// set's run settings (Retries, RetryBackoff, RunTimeout, Journal, Faults)
+// and returns one SweepResult per grid. Each workload is built once and, if
+// any grid verifies it, run once on the reference model. A cell is keyed by
+// the engine.CacheKey the coordinator derives for it, so a cell that several
+// grids request is simulated, journaled and resumed once; the distinct cells
+// are admitted together, longest reference run first. A cell with a fault
+// plan has no key and runs alone.
+func supervise(ctx context.Context, set *Spec, grids []Spec) ([]*SweepResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	np := len(spec.Policies)
-	cells := make([]cell, len(spec.Workloads)*np)
-
-	resumed := 0
-	if spec.Journal != nil {
-		for wi, w := range spec.Workloads {
-			for pi, pol := range spec.Policies {
-				if run, ok := spec.Journal.Lookup(spec.Tag, w.Name, pol); ok {
-					cells[wi*np+pi] = cell{run: run, done: true}
-					resumed++
-				}
+	pl := plan{
+		set:      set,
+		progs:    make(map[progKey]*program),
+		keyed:    make(map[string]*cell),
+		outcomes: obs.FromContext(ctx).CounterVec("harness_cells_total", "sweep cells by final disposition", "outcome"),
+	}
+	slots := make([][]*cell, len(grids))
+	for gi := range grids {
+		g := &grids[gi]
+		for _, w := range g.Workloads {
+			p := pl.program(ctx, w, g.Size, g.Verify)
+			for _, pol := range g.Policies {
+				slots[gi] = append(slots[gi], pl.cell(g, w.Name, p, pol))
 			}
 		}
 	}
-
-	var pending []*cell
-	for wi, w := range spec.Workloads {
-		todo := false
-		for pi := range spec.Policies {
-			if !cells[wi*np+pi].done {
-				todo = true
-			}
-		}
-		if !todo {
-			continue // fully resumed: skip the build too
-		}
-		prog, err := w.Build(spec.Size)
-		if err != nil {
-			failWorkload(cells[wi*np:wi*np+np], spec, w.Name, &simerr.RunError{
-				Kind: simerr.KindBuild, Detail: "workload build failed", Err: err,
-			})
-			continue
-		}
-		var want ref.Result
-		if spec.Verify {
-			want, err = engine.Reference(ctx, prog, ref.Limits{})
-			if err != nil {
-				failWorkload(cells[wi*np:wi*np+np], spec, w.Name, &simerr.RunError{
-					Kind: simerr.KindBuild, Detail: "reference run failed", Err: err,
-				})
-				continue
-			}
-		}
-		for pi, pol := range spec.Policies {
-			c := &cells[wi*np+pi]
-			if c.done {
-				continue
-			}
-			c.Cell = dispatch.Cell{
-				Name:      w.Name,
-				Program:   prog,
-				Config:    &spec.Config,
-				Verify:    spec.Verify,
-				Overrides: engine.Overrides{Policy: pol, Deadline: spec.RunTimeout},
-			}
-			c.policy, c.want = pol, want
-			if spec.Faults != nil {
-				c.plan = spec.Faults(w.Name, pol)
-			}
-			if c.plan != nil {
-				// A faulted cell runs on a hooked core, and a hooked core
-				// has no result key: the coordinator never lets it share a
-				// flight with a repeat of its pair. Each attempt attaches a
-				// fresh injector over these hooks.
-				cfg := spec.Config
-				faultinject.New(*c.plan, 1).Attach(&cfg)
-				c.Config = &cfg
-			}
-			pending = append(pending, c)
-		}
-	}
-	if err := runCells(ctx, spec, pending); err != nil {
+	// Longest first, so no slot idles behind a long cell admitted last.
+	// Without a reference run the order is the plan's.
+	slices.SortStableFunc(pl.pending, func(a, b *cell) int { return cmp.Compare(b.prog.want.Insts, a.prog.want.Insts) })
+	if err := pl.run(ctx); err != nil {
 		return nil, err
 	}
 
-	res := &SweepResult{Resumed: resumed}
-	cellsTotal := obs.FromContext(ctx).CounterVec("harness_cells_total",
-		"sweep cells by final disposition", "outcome")
-	cellsTotal.With("resumed").Add(uint64(resumed))
-	for i := range cells {
-		c := &cells[i]
-		if c.err != nil {
-			cellsTotal.With("failed").Inc()
-			res.Failures = append(res.Failures, Failure{
-				Workload: spec.Workloads[i/np].Name,
-				Policy:   spec.Policies[i%np],
-				Attempts: c.attempts,
-				Err:      c.err,
-			})
-			continue
+	out := make([]*SweepResult, len(grids))
+	for gi := range grids {
+		g, res := &grids[gi], &SweepResult{}
+		np := len(g.Policies)
+		for i, c := range slots[gi] {
+			w, pol := g.Workloads[i/np].Name, g.Policies[i%np]
+			if c.err != nil {
+				res.Failures = append(res.Failures, Failure{Workload: w, Policy: pol, Attempts: c.attempts, Err: c.err})
+				continue
+			}
+			if c.resumed {
+				res.Resumed++
+			}
+			res.Runs = append(res.Runs, Run{Workload: w, Policy: pol, Stats: c.run.Stats, ExitCode: c.run.ExitCode})
 		}
-		if c.attempts > 0 {
-			cellsTotal.With("ok").Inc()
-		}
-		res.Runs = append(res.Runs, c.run)
+		out[gi] = res
 	}
-	return res, nil
+	return out, nil
 }
 
-// runCells admits every pending cell to a coordinator built for this sweep
-// and settles each one, journaling the completed ones.
-func runCells(ctx context.Context, spec Spec, pending []*cell) error {
+// program returns workload w built at size, built on first use, and runs its
+// reference when verify asks for one it does not have yet. Every grid of a
+// plan verifies (levbench's experiments) or the plan has one grid
+// (Supervise), so a reference failure can fail all of the workload's cells.
+func (pl *plan) program(ctx context.Context, w workloads.Workload, size workloads.Size, verify bool) *program {
+	p := pl.progs[progKey{w.Name, size}]
+	if p == nil {
+		p = &program{}
+		pl.progs[progKey{w.Name, size}] = p
+		var err error
+		if p.prog, err = w.Build(size); err != nil {
+			p.err = &simerr.RunError{Kind: simerr.KindBuild, Detail: "workload build failed", Err: err}
+		}
+	}
+	// A reference that has run counts its HALT, so Insts is never zero.
+	if verify && p.err == nil && p.want.Insts == 0 {
+		var err error
+		if p.want, err = engine.Reference(ctx, p.prog, ref.Limits{}); err != nil {
+			p.err = &simerr.RunError{Kind: simerr.KindBuild, Detail: "reference run failed", Err: err}
+		}
+	}
+	return p
+}
+
+// cell returns the plan's cell for (workload, policy) on grid g's core: the
+// cell already planned under the same key, one restored from the journal, or
+// a new pending one.
+func (pl *plan) cell(g *Spec, wname string, p *program, pol string) *cell {
+	c := &cell{policy: pol, prog: p}
+	if p.err != nil {
+		c.err, c.attempts = simerr.WithRun(p.err, wname, pol, 1), 1
+		pl.outcomes.With("failed").Inc()
+		return c
+	}
+	// The cell carries the canonical policy its key was derived from; a
+	// policy the registry rejects leaves the cell unkeyed, and the
+	// coordinator fails it.
+	ov := engine.Overrides{Policy: pol, Deadline: pl.set.RunTimeout}
+	canonical := ov.Normalize() == nil
+	c.Cell = dispatch.Cell{
+		Name:      wname,
+		Program:   p.prog,
+		Config:    &g.Config,
+		Verify:    g.Verify,
+		Overrides: ov,
+	}
+	if pl.set.Faults != nil {
+		c.plan = pl.set.Faults(wname, pol)
+	}
+	if c.plan != nil {
+		// A faulted cell runs on a hooked core, and a hooked core has no
+		// result key: it never shares a cell, a flight or a journal entry
+		// with a repeat of its pair. Each attempt attaches a fresh injector
+		// over these hooks.
+		cfg := g.Config
+		faultinject.New(*c.plan, 1).Attach(&cfg)
+		c.Config = &cfg
+	} else if key, ok := engine.CacheKey(p.prog, ov.Policy, g.Config, false, g.Verify); ok && canonical {
+		if dup := pl.keyed[key]; dup != nil {
+			return dup
+		}
+		c.key = key
+		pl.keyed[key] = c
+		if pl.set.Journal != nil {
+			if c.run, c.resumed = pl.set.Journal.Lookup(key); c.resumed {
+				pl.outcomes.With("resumed").Inc()
+				return c
+			}
+		}
+	}
+	pl.pending = append(pl.pending, c)
+	return c
+}
+
+// run admits every pending cell to a coordinator built for this plan and
+// settles each one, journaling the completed keyed ones.
+func (pl *plan) run(ctx context.Context) error {
+	set, pending := pl.set, pl.pending
 	if len(pending) == 0 {
 		return ctx.Err()
 	}
-	backoff := spec.RetryBackoff
+	backoff := set.RetryBackoff
 	if backoff <= 0 {
 		backoff = 10 * time.Millisecond
 	}
-	w := &sweepWorker{spec: &spec, cells: make(map[*dispatch.Cell]*cell, len(pending))}
+	w := &sweepWorker{set: set, cells: make(map[*dispatch.Cell]*cell, len(pending))}
 	for _, c := range pending {
 		w.cells[&c.Cell] = c
 	}
 	co, err := dispatch.New(ctx, dispatch.Config{
 		Workers:     runtime.GOMAXPROCS(0),
 		Spawn:       func(context.Context) (dispatch.Worker, error) { return w, nil },
-		MaxAttempts: max(spec.Retries, 0) + 1,
+		MaxAttempts: max(set.Retries, 0) + 1,
 		Backoff:     backoff,
 		// An in-process slot has no health to lose: its transient failures
 		// are the cell's own (a deadline, an injected panic), so no streak
@@ -188,7 +250,7 @@ func runCells(ctx context.Context, spec Spec, pending []*cell) error {
 		BreakerThreshold: math.MaxInt,
 		QueueDepth:       -1,
 		CacheEntries:     -1,
-		Registry:         obs.NewRegistry(),
+		Registry:         cmp.Or(set.testRegistry, obs.NewRegistry()),
 	})
 	if err != nil {
 		return err
@@ -201,7 +263,7 @@ func runCells(ctx context.Context, spec Spec, pending []*cell) error {
 	defer adm.Release()
 
 	var journalErr error
-	var journalMu sync.Mutex
+	var journalOnce sync.Once
 	var wg sync.WaitGroup
 	for i, c := range pending {
 		wg.Add(1)
@@ -210,17 +272,14 @@ func runCells(ctx context.Context, spec Spec, pending []*cell) error {
 			res, err := adm.Execute(ctx, i, &c.Cell)
 			if err != nil {
 				c.err = simerr.WithRun(err, c.Name, c.policy, c.attempts)
+				pl.outcomes.With("failed").Inc()
 				return
 			}
+			pl.outcomes.With("ok").Inc()
 			c.run = Run{Workload: c.Name, Policy: c.policy, Stats: res.Stats, ExitCode: res.ExitCode}
-			c.done = true
-			if spec.Journal != nil {
-				if jerr := spec.Journal.Record(spec.Tag, c.run); jerr != nil {
-					journalMu.Lock()
-					if journalErr == nil {
-						journalErr = jerr
-					}
-					journalMu.Unlock()
+			if set.Journal != nil && c.key != "" {
+				if jerr := set.Journal.Record(c.key, c.run); jerr != nil {
+					journalOnce.Do(func() { journalErr = jerr })
 				}
 			}
 		}(i, c)
@@ -238,17 +297,6 @@ func runCells(ctx context.Context, spec Spec, pending []*cell) error {
 	return nil
 }
 
-// failWorkload marks every policy cell of one workload failed with the same
-// pre-simulation cause (build or reference-run failure).
-func failWorkload(cells []cell, spec Spec, wname string, cause *simerr.RunError) {
-	for pi, pol := range spec.Policies {
-		if cells[pi].done {
-			continue
-		}
-		cells[pi] = cell{err: simerr.WithRun(cause, wname, pol, 1), attempts: 1}
-	}
-}
-
 // sweepWorker is the coordinator's in-process worker for one sweep: one
 // attempt of one cell through engine.Run, on the cell's core with its fault
 // plan attached for that attempt, verified against the workload's shared
@@ -259,15 +307,15 @@ func failWorkload(cells []cell, spec Spec, wname string, cause *simerr.RunError)
 // attempts beyond the first — harness_retries_total, so a sweep's retry and
 // deadline pressure is visible without reading the failure table.
 type sweepWorker struct {
-	spec  *Spec
+	set   *Spec
 	cells map[*dispatch.Cell]*cell // read-only once the sweep starts
 }
 
 func (w *sweepWorker) Execute(ctx context.Context, c *dispatch.Cell) (*engine.Result, error) {
 	sc := w.cells[c]
 	sc.attempts++
-	if w.spec.testOnRun != nil {
-		w.spec.testOnRun(sc.Name, sc.policy, sc.attempts)
+	if w.set.testOnRun != nil {
+		w.set.testOnRun(sc.Name, sc.policy, sc.attempts)
 	}
 	reg := obs.FromContext(ctx)
 	reg.Counter("harness_attempts_total", "executed sweep cell attempts").Inc()
@@ -289,7 +337,7 @@ func (w *sweepWorker) Execute(ctx context.Context, c *dispatch.Cell) (*engine.Re
 		Overrides: c.Overrides,
 	}
 	if c.Verify {
-		req.Want = &sc.want
+		req.Want = &sc.prog.want
 	}
 	res, err := engine.Run(ctx, req)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"levioso/internal/cpu"
+	"levioso/internal/engine"
 	"levioso/internal/faultinject"
 	"levioso/internal/obs"
 	"levioso/internal/secure"
@@ -53,7 +55,6 @@ func TestSupervisorDegradesAndResumes(t *testing.T) {
 	}
 
 	spec := smallSpec(t)
-	spec.Tag = "accept"
 	spec.Journal = j
 	spec.Faults = func(w, p string) *faultinject.Plan {
 		if w == "pchase" && p == "fence" {
@@ -102,7 +103,6 @@ func TestSupervisorDegradesAndResumes(t *testing.T) {
 	}
 	defer j2.Close()
 	spec2 := smallSpec(t)
-	spec2.Tag = "accept"
 	spec2.Journal = j2
 	var mu sync.Mutex
 	var executed []string
@@ -256,13 +256,15 @@ func TestSupervisorDeadlineExhaustsRetries(t *testing.T) {
 
 // TestSupervisorDeadlinesNeverParkSlots: a sweep in which every attempt hits
 // its deadline piles up consecutive transient failures on every slot — far
-// past a default breaker's threshold — yet no slot sits out a breaker
-// cooldown (1s by default): in-process slots have no breaker to trip.
+// past a default breaker's threshold — yet no breaker trips on the sweep's
+// coordinator, so no slot sits out a breaker cooldown (1s by default).
 func TestSupervisorDeadlinesNeverParkSlots(t *testing.T) {
 	spec := smallSpec(t)
 	spec.Retries = 2
 	spec.RetryBackoff = time.Millisecond
 	spec.RunTimeout = time.Nanosecond
+	reg := obs.NewRegistry()
+	spec.testRegistry = reg
 	start := time.Now()
 	res, err := Supervise(context.Background(), spec)
 	if err != nil {
@@ -276,6 +278,9 @@ func TestSupervisorDeadlinesNeverParkSlots(t *testing.T) {
 		if !errors.Is(f.Err, simerr.ErrDeadline) || f.Attempts != 3 {
 			t.Errorf("%s/%s: %d attempts, %v; want 3 deadline attempts", f.Workload, f.Policy, f.Attempts, f.Err)
 		}
+	}
+	if trips := reg.Counter("dispatch_breaker_trips_total", "").Value(); trips != 0 {
+		t.Errorf("%d breaker trips on the sweep coordinator, want 0", trips)
 	}
 	if elapsed >= time.Second {
 		t.Fatalf("12 deadline attempts took %v: a slot waited out a breaker cooldown", elapsed)
@@ -346,7 +351,6 @@ func TestSupervisorCancelled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	spec := smallSpec(t)
-	spec.Tag = "interrupt"
 	spec.Journal = j
 	var once sync.Once
 	spec.testOnRun = func(w, p string, attempt int) {
@@ -368,7 +372,6 @@ func TestSupervisorCancelled(t *testing.T) {
 	defer j2.Close()
 	already := j2.Len()
 	spec2 := smallSpec(t)
-	spec2.Tag = "interrupt"
 	spec2.Journal = j2
 	res2, err := Supervise(context.Background(), spec2)
 	if err != nil {
@@ -393,7 +396,6 @@ func TestSupervisorResumesPastCrashMidFsync(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := smallSpec(t)
-	spec.Tag = "crash"
 	spec.Journal = j
 	res, err := Supervise(context.Background(), spec)
 	if err != nil {
@@ -427,7 +429,6 @@ func TestSupervisorResumesPastCrashMidFsync(t *testing.T) {
 		t.Fatalf("journal after torn tail: %d entries, want 3", j2.Len())
 	}
 	spec2 := smallSpec(t)
-	spec2.Tag = "crash"
 	spec2.Journal = j2
 	var mu sync.Mutex
 	var executed []string
@@ -446,7 +447,7 @@ func TestSupervisorResumesPastCrashMidFsync(t *testing.T) {
 	if len(executed) != 1 {
 		t.Fatalf("re-executed %v, want exactly the torn cell", executed)
 	}
-	if _, ok := j2.Lookup("crash", res.Runs[0].Workload, res.Runs[0].Policy); len(res.Runs) > 0 && !ok {
+	if _, ok := j2.Lookup(cellKeyOf(t, spec, res.Runs[0].Workload, res.Runs[0].Policy)); len(res.Runs) > 0 && !ok {
 		// Sanity only: at least one completed cell must still resolve.
 		t.Errorf("completed cell lost from healed journal")
 	}
@@ -529,7 +530,7 @@ func TestJournalTornLineTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := Run{Workload: "w1", Policy: "p1", ExitCode: 7, Stats: cpu.Stats{Cycles: 123}}
-	if err := j.Record("t", good); err != nil {
+	if err := j.Record("k1", good); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -540,7 +541,7 @@ func TestJournalTornLineTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"tag":"t","workload":"w2","poli`); err != nil {
+	if _, err := f.WriteString(`{"key":"k2","workload":"w2","poli`); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -553,17 +554,17 @@ func TestJournalTornLineTolerated(t *testing.T) {
 	if j2.Len() != 1 {
 		t.Fatalf("want 1 surviving entry, got %d", j2.Len())
 	}
-	rec, ok := j2.Lookup("t", "w1", "p1")
+	rec, ok := j2.Lookup("k1")
 	if !ok || rec.ExitCode != 7 || rec.Stats.Cycles != 123 {
 		t.Errorf("surviving entry corrupted: %+v ok=%v", rec, ok)
 	}
-	if _, ok := j2.Lookup("t", "w2", "p1"); ok {
+	if _, ok := j2.Lookup("k2"); ok {
 		t.Error("torn entry resurrected")
 	}
 	// The journal must still be appendable after loading past a torn tail:
 	// OpenJournal heals the unterminated line, so a record written now must
 	// survive the next load instead of merging into the garbage.
-	if err := j2.Record("t", Run{Workload: "w3", Policy: "p1"}); err != nil {
+	if err := j2.Record("k3", Run{Workload: "w3", Policy: "p1"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j2.Close(); err != nil {
@@ -574,31 +575,83 @@ func TestJournalTornLineTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j3.Close()
-	if _, ok := j3.Lookup("t", "w3", "p1"); !ok {
+	if _, ok := j3.Lookup("k3"); !ok {
 		t.Error("entry appended after torn tail lost on reload")
 	}
 }
 
-func TestJournalTagNamespacing(t *testing.T) {
+// cellKeyOf is the journal key Supervise gives (workload, policy) of spec.
+func cellKeyOf(t *testing.T, spec Spec, workload, policy string) string {
+	t.Helper()
+	w, ok := workloads.ByName(workload)
+	if !ok {
+		t.Fatalf("missing workload %s", workload)
+	}
+	ov := engine.Overrides{Policy: policy}
+	if err := ov.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	key, ok := engine.CacheKey(w.MustBuild(spec.Size), ov.Policy, spec.Config, false, spec.Verify)
+	if !ok {
+		t.Fatalf("%s/%s has no cell key", workload, policy)
+	}
+	return key
+}
+
+// TestJournalKeysCells: the journal keys a cell by its identity. The same
+// (workload, policy) pairs on two cores are two sets of cells, and a cell
+// that two experiments read is simulated and journaled once.
+func TestJournalKeysCells(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
 	j, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if err := j.Record("rob=128", Run{Workload: "w", Policy: "p", Stats: cpu.Stats{Cycles: 1}}); err != nil {
+	for _, rob := range []int{128, 256} {
+		spec := smallSpec(t)
+		spec.Config.ROBSize = rob
+		spec.Journal = j
+		res, err := Supervise(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Resumed != 0 || len(res.Runs) != 4 {
+			t.Errorf("ROB %d: resumed %d of %d runs; the pairs collided with another core's", rob, res.Resumed, len(res.Runs))
+		}
+	}
+	if j.Len() != 8 {
+		t.Errorf("journal holds %d cells after two cores, want 8", j.Len())
+	}
+
+	path = filepath.Join(t.TempDir(), "shared.jsonl")
+	j2, err := OpenJournal(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Record("rob=256", Run{Workload: "w", Policy: "p", Stats: cpu.Stats{Cycles: 2}}); err != nil {
+	defer j2.Close()
+	grid := func(policies ...string) experiment {
+		g := smallSpec(t)
+		g.Policies = policies
+		return experiment{grids: []Spec{g}, render: func([][]Run) (string, error) { return "", nil }}
+	}
+	opt := &RunOpts{Journal: j2}
+	var mu sync.Mutex
+	executed := 0
+	opt.testOnRun = func(w, p string, attempt int) {
+		mu.Lock()
+		executed++
+		mu.Unlock()
+	}
+	if err := opt.report(context.Background(), io.Discard, nil, []experiment{grid("unsafe", "fence"), grid("unsafe")}); err != nil {
 		t.Fatal(err)
 	}
-	a, ok1 := j.Lookup("rob=128", "w", "p")
-	b, ok2 := j.Lookup("rob=256", "w", "p")
-	if !ok1 || !ok2 || a.Stats.Cycles != 1 || b.Stats.Cycles != 2 {
-		t.Errorf("tags collided: %+v / %+v", a, b)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := j.Lookup("", "w", "p"); ok {
-		t.Error("untagged lookup matched tagged entry")
+	if lines := bytes.Count(data, []byte("\n")); executed != 4 || lines != 4 {
+		t.Errorf("two experiments sharing 2 of 4 cells: %d executed, %d journal lines; want 4 and 4", executed, lines)
 	}
 }
 
@@ -612,7 +665,7 @@ func TestJournalRecordDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if err := j.Record("t", Run{Workload: "w1", Policy: "p1", ExitCode: 3}); err != nil {
+	if err := j.Record("k1", Run{Workload: "w1", Policy: "p1", ExitCode: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Sync(); err != nil {
@@ -625,7 +678,7 @@ func TestJournalRecordDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if rec, ok := j2.Lookup("t", "w1", "p1"); !ok || rec.ExitCode != 3 {
+	if rec, ok := j2.Lookup("k1"); !ok || rec.ExitCode != 3 {
 		t.Fatalf("synced entry not visible to a fresh reader: %+v ok=%v", rec, ok)
 	}
 }
